@@ -6,103 +6,18 @@ optimal projective-measurement construction, a stochastic measurement-search
 oracle, and Monte-Carlo simulation layers.
 """
 
-from .operators import (
-    TOL,
-    Tolerances,
-    ValidationError,
-    NotRealGramError,
-    InternalConsistencyError,
-    as_hermitian,
-    hermitian_eigendecomposition,
-    matrix_exponential_skew,
-    gram_schmidt_real_coefficients,
-    QuantumState,
-    pure_state,
-    mixed_state,
-    Purification,
-)
-from .models import (
-    ParametricModel,
-    TangentFrame,
-    tangents,
-    horizontal_lift,
-    sld_solve,
-    frame_at,
-    zoo_spin_coherent,
-    zoo_squeezed,
-    zoo_pm_shift,
-    zoo_canonical,
-    zoo_time_evolution,
-    explicit_model,
-    load_model_spec,
-    annihilation,
-)
-from .geometry import (
-    InfoGeometry,
-    info_geometry,
-    geometry_at,
-    coherency_det_check,
-    uhlmann_curvature,
-    rpf_transport,
-    DirectSumBlock,
-    decompose_direct_sum,
-)
-from .bounds import (
-    WeightMatrix,
-    BoundResult,
-    sld_bound,
-    cr_two_param,
-    boundary_curve,
-    cr_coherent,
-    cr_general_js,
-    cr_direct_sum,
-)
-from .measurements import (
-    PvmEstimator,
-    EstimationVectors,
-    outcome_distribution,
-    classical_fisher,
-    optimal_postprocessing,
-    construct_pvm_from_vectors,
-    optimal_vectors_two_param,
-    commuting_sld_estimator,
-    naimark_compress,
-)
-from .oracle import (
-    SearchConfig,
-    OracleResult,
-    oracle_min_weighted_variance,
-    verify_bound,
-)
-from .simulate import (
-    QmleConfig,
-    QmleResult,
-    simulate_gqmle,
-    TestPowerReport,
-    time_energy_report,
-)
+from . import (bounds, geometry, measurements, models, operators, oracle,
+               simulate)
+from .operators import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .measurements import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TOL", "Tolerances", "ValidationError", "NotRealGramError",
-    "InternalConsistencyError", "as_hermitian", "hermitian_eigendecomposition",
-    "matrix_exponential_skew", "gram_schmidt_real_coefficients",
-    "QuantumState", "pure_state", "mixed_state", "Purification",
-    "ParametricModel", "TangentFrame", "tangents", "horizontal_lift",
-    "sld_solve", "frame_at", "zoo_spin_coherent", "zoo_squeezed",
-    "zoo_pm_shift", "zoo_canonical", "zoo_time_evolution", "explicit_model",
-    "load_model_spec", "annihilation",
-    "InfoGeometry", "info_geometry", "geometry_at", "coherency_det_check",
-    "uhlmann_curvature", "rpf_transport", "DirectSumBlock",
-    "decompose_direct_sum",
-    "WeightMatrix", "BoundResult", "sld_bound", "cr_two_param",
-    "boundary_curve", "cr_coherent", "cr_general_js", "cr_direct_sum",
-    "PvmEstimator", "EstimationVectors", "outcome_distribution",
-    "classical_fisher", "optimal_postprocessing", "construct_pvm_from_vectors",
-    "optimal_vectors_two_param", "commuting_sld_estimator", "naimark_compress",
-    "SearchConfig", "OracleResult", "oracle_min_weighted_variance",
-    "verify_bound",
-    "QmleConfig", "QmleResult", "simulate_gqmle", "TestPowerReport",
-    "time_energy_report",
-]
+__all__ = [name for module in (operators, models, geometry, bounds,
+                               measurements, oracle, simulate)
+           for name in module.__all__]

@@ -4,20 +4,31 @@ Implements the SLD matrix bound, the exact two-parameter solution (via the
 constraint curve between the two normalized variances), the coherent-model
 closed form, the invariant-weight bound for general pure models, and
 direct-sum additivity over informationally independent blocks.
+:func:`attainable_bound` picks the closed form that applies at a point.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .operators import InternalConsistencyError, ValidationError, as_hermitian
-from .geometry import decompose_direct_sum
+from .operators import (
+    InternalConsistencyError,
+    ValidationError,
+    _sqrtm_psd,
+    as_hermitian,
+)
+from .geometry import (
+    COHERENT_BETA_TOL,
+    InfoGeometry,
+    _normalized_skew,
+    decompose_direct_sum,
+)
 
 __all__ = [
     "WeightMatrix",
     "BoundResult",
     "sld_bound",
+    "attainable_bound",
     "cr_two_param",
     "boundary_curve",
     "cr_coherent",
@@ -27,7 +38,6 @@ __all__ = [
 
 LAGRANGE_RESIDUAL_TOL = 1e-8
 BISECTION_TOL = 1e-14
-COHERENT_BETA_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,23 +75,34 @@ class BoundResult:
     note: str = ""
 
 
-def sld_bound(geom):
-    """Matrix lower bound J^{S-1}; attainable iff the model is
-    quasi-classical at the point."""
+def sld_bound(geom, weight):
+    """SLD floor Tr G J^{S-1} of the matrix bound V >= J^{S-1}; attainable
+    iff the model is quasi-classical at the point."""
     js_inv = np.linalg.inv(geom.JS)
     return BoundResult(
-        cr_value=float(np.trace(js_inv)),  # Tr G J^{S-1} with G = I
+        cr_value=float(np.trace(weight.G @ js_inv)),
         method="sld",
         attained="attained" if geom.quasi_classical else "infimum_only",
         V_opt=0.5 * (js_inv + js_inv.T),
-        note="matrix bound; cr_value is Tr J^{S-1} (G = I)",
     )
 
 
-def _sqrtm_sym(a):
-    w, u = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.T
+def attainable_bound(geom, weight, pure):
+    """The closed-form attainable bound at a point, or None.
+
+    Regimes are tried in order: quasi-classical -> :func:`sld_bound`;
+    two-parameter pure -> :func:`cr_two_param`; coherent ->
+    :func:`cr_coherent` (closed forms after Matsumoto, J. Phys. A 35, 3111
+    (2002)).  None means no closed form applies and only the interval
+    [SLD floor, oracle] is available.
+    """
+    if geom.quasi_classical:
+        return sld_bound(geom, weight)
+    if geom.m == 2 and pure:
+        return cr_two_param(geom, weight)
+    if geom.coherent:
+        return cr_coherent(geom, weight)
+    return None
 
 
 def _curve_t(s, beta):
@@ -153,15 +174,8 @@ def cr_two_param(geom, weight):
     if geom.m != 2:
         raise ValidationError("cr_two_param requires a 2-parameter model")
     g = weight.G
-    js = geom.JS
-    w, uj = np.linalg.eigh(js)
-    if w[0] <= 0:
-        raise ValidationError("singular J^S")
-    s_half = (uj * np.sqrt(w)) @ uj.T
-    s_inv = (uj / np.sqrt(w)) @ uj.T
-
-    jt_n = s_inv @ geom.Jtilde @ s_inv
-    beta_signed = 0.5 * (jt_n[1, 0] - jt_n[0, 1])  # J~' = [[0, -b], [b, 0]]
+    jt_n, s_half, s_inv = _normalized_skew(geom.JS, geom.Jtilde)
+    beta_signed = jt_n[1, 0]
     beta = abs(beta_signed)
     g_n = s_inv @ g @ s_inv
     g_n = 0.5 * (g_n + g_n.T)
@@ -177,7 +191,7 @@ def cr_two_param(geom, weight):
         if g1 <= 0:
             return BoundResult(cr_value=0.0, method="two_param",
                                note="zero weight")
-        if beta >= 1.0 - COHERENT_BETA_EPS:
+        if beta >= 1.0 - COHERENT_BETA_TOL:
             return BoundResult(cr_value=float(value), method="two_param",
                                attained="infimum_only",
                                note="rank-one weight on a maximally "
@@ -190,7 +204,7 @@ def cr_two_param(geom, weight):
         return BoundResult(cr_value=float(value), method="two_param",
                            V_opt=v_opt)
 
-    if beta >= 1.0 - COHERENT_BETA_EPS:
+    if beta >= 1.0 - COHERENT_BETA_TOL:
         # classified coherent: use the exact beta = 1 curve (the bisection
         # bracket degenerates as beta -> 1 and loses accuracy)
         beta_signed = np.copysign(1.0, beta_signed) if beta_signed else 1.0
@@ -286,7 +300,7 @@ def cr_coherent(geom, weight):
     js_inv = np.linalg.inv(geom.JS)
     a = g @ js_inv @ geom.Jtilde @ js_inv
     eig = np.linalg.eigvals(a)
-    value = float(np.trace(g @ js_inv).real + np.sum(np.abs(eig)))
+    value = float(sld_bound(geom, weight).cr_value + np.sum(np.abs(eig)))
 
     if not weight.strict:
         return BoundResult(cr_value=value, method="coherent",
@@ -294,10 +308,10 @@ def cr_coherent(geom, weight):
                            note="singular weight: closed form is proved for "
                                 "strictly positive G; value is an infimum")
 
-    g_half = _sqrtm_sym(g)
+    g_half = _sqrtm_psd(g)
     g_inv_half = np.linalg.inv(g_half)
     core = g_half @ js_inv @ geom.Jtilde @ js_inv @ g_half
-    abs_core = _sqrtm_sym(core @ core.conj().T)
+    abs_core = _sqrtm_psd(core @ core.conj().T)
     v_opt = js_inv + g_inv_half @ abs_core @ g_inv_half
     return BoundResult(cr_value=value, method="coherent",
                        V_opt=0.5 * (v_opt + v_opt.T))
@@ -341,8 +355,6 @@ def cr_direct_sum(geom, weight, blocks=None, a=None):
             "weight couples independent blocks; no closed form "
             "(use the oracle + SLD floor interval)")
 
-    from .geometry import InfoGeometry  # local import to avoid cycles
-
     total = 0.0
     v_new = np.zeros_like(g_new)
     attained = "attained"
@@ -356,7 +368,7 @@ def cr_direct_sum(geom, weight, blocks=None, a=None):
         sub = InfoGeometry(JS=np.eye(2), Jtilde=jt_new[np.ix_(idx, idx)],
                            beta_pairs=(blk.beta,), n_zero=0,
                            quasi_classical=blk.beta <= 1e-9,
-                           coherent=abs(blk.beta - 1) <= COHERENT_BETA_EPS)
+                           coherent=abs(blk.beta - 1) <= COHERENT_BETA_TOL)
         res = cr_two_param(sub, WeightMatrix.from_matrix(gb))
         total += res.cr_value
         if res.attained == "infimum_only":

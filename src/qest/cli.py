@@ -15,18 +15,21 @@ import sys
 import numpy as np
 
 from .operators import InternalConsistencyError, ValidationError
-from .models import frame_at, load_model_spec, zoo_time_evolution
+from .models import frame_at, load_model_spec
 from .geometry import coherency_det_check, info_geometry
 from .bounds import (
     WeightMatrix,
+    attainable_bound,
     boundary_curve,
     cr_coherent,
     cr_two_param,
+    sld_bound,
 )
 from .measurements import (
     commuting_sld_estimator,
     construct_pvm_from_vectors,
     naimark_compress,
+    optimal_vectors_sld,
     optimal_vectors_two_param,
 )
 from .oracle import SearchConfig, oracle_min_weighted_variance
@@ -178,58 +181,33 @@ def _cmd_geometry(args):
     return 0
 
 
-def _auto_bound(model, theta, geom, weight, seed, restarts, steps):
-    """Method auto-selection shared by `bound` and `oracle`.
-
-    quasi-classical -> sld; m = 2 pure -> two_param; coherent -> coherent;
-    otherwise a rigorous [floor, oracle] interval.
-    """
-    g = weight.G
-    if geom.quasi_classical:
-        js_inv = np.linalg.inv(geom.JS)
-        value = float(np.trace(g @ js_inv))
-        return {"method": "sld", "cr_value": value, "attained": "attained",
-                "v_opt": _real_rows(js_inv)}, None
-    if geom.m == 2 and model.pure:
-        res = cr_two_param(geom, weight)
-        out = {"method": res.method, "cr_value": res.cr_value,
-               "attained": res.attained}
-        if res.V_opt is not None:
-            out["v_opt"] = _real_rows(res.V_opt)
-        if res.note:
-            out["note"] = res.note
-        return out, res
-    if geom.coherent:
-        res = cr_coherent(geom, weight)
-        out = {"method": res.method, "cr_value": res.cr_value,
-               "attained": res.attained}
-        if res.V_opt is not None:
-            out["v_opt"] = _real_rows(res.V_opt)
-        return out, res
-    floor = float(np.trace(g @ np.linalg.inv(geom.JS)))
-    cfg = SearchConfig(restarts=restarts, local_steps=steps, seed=seed)
-    oracle = oracle_min_weighted_variance(model, theta, g, cfg)
-    return {"method": "interval", "lower": floor,
-            "upper": float(oracle.best_value),
-            "note": "no closed form in this regime: rigorous "
-                    "[sld floor, oracle] interval"}, None
-
-
 def _cmd_bound(args):
     model, theta, _ = _load_model(args)
     geom = info_geometry(frame_at(model, theta))
     weight = _load_weight(args.weight, geom)
-    seed = _resolve_seed(args)
-    report, _ = _auto_bound(model, theta, geom, weight, seed,
-                            args.restarts, args.steps)
-    if report["method"] == "interval":
+    res = attainable_bound(geom, weight, model.pure)
+    if res is None:
+        cfg = SearchConfig(restarts=args.restarts, local_steps=args.steps,
+                           seed=_resolve_seed(args))
+        oracle = oracle_min_weighted_variance(model, theta, weight.G, cfg)
+        report = {"method": "interval",
+                  "lower": sld_bound(geom, weight).cr_value,
+                  "upper": float(oracle.best_value),
+                  "note": "no closed form in this regime: rigorous "
+                          "[sld floor, oracle] interval"}
         lines = [f"method: {report['method']}",
                  f"lower: {_sig(report['lower'])}",
                  f"upper: {_sig(report['upper'])}"]
     else:
-        lines = [f"method: {report['method']}",
-                 f"{_sig(report['cr_value'])}",
-                 f"attained: {report['attained']}"]
+        report = {"method": res.method, "cr_value": res.cr_value,
+                  "attained": res.attained}
+        if res.V_opt is not None:
+            report["v_opt"] = _real_rows(res.V_opt)
+        if res.note:
+            report["note"] = res.note
+        lines = [f"method: {res.method}",
+                 f"{_sig(res.cr_value)}",
+                 f"attained: {res.attained}"]
     _emit_report(report, args.format, args.out, lines)
     return 0
 
@@ -253,39 +231,33 @@ def _cmd_measurement(args):
     frame = frame_at(model, theta)
     geom = info_geometry(frame)
     weight = _load_weight(args.weight, geom)
-    g = weight.G
+    bound = attainable_bound(geom, weight, model.pure)
+    method = bound.method if bound is not None else None
 
-    if geom.quasi_classical:
+    if method == "sld" and not model.pure:
         pvm = commuting_sld_estimator(model, theta, geom)
-        js_inv = np.linalg.inv(geom.JS)
-        risk = float(np.trace(g @ js_inv))
-        report = {
-            "method": "commuting_slds",
-            "risk": risk,
-            "cr_value": risk,
-            "n_outcomes": len(pvm.projectors),
-            "estimates": [[float(v) for v in e] for e in pvm.estimates],
-            "covariance": _real_rows(js_inv),
-        }
         elements = pvm.projectors
-    elif geom.m == 2 and model.pure:
-        bound = cr_two_param(geom, weight)
-        vectors, basis = optimal_vectors_two_param(frame, weight, bound)
+        name, cov = "commuting_slds", bound.V_opt
+    elif method in ("sld", "two_param"):
+        if method == "sld":
+            vectors, basis = optimal_vectors_sld(frame, bound)
+        else:
+            vectors, basis = optimal_vectors_two_param(frame, weight, bound)
         pvm = construct_pvm_from_vectors(vectors, rng_seed=_resolve_seed(args))
         elements, _ = naimark_compress(pvm, basis)
-        cov = pvm.meta["covariance"]
-        report = {
-            "method": "two_param",
-            "risk": float(np.trace(g @ cov).real),
-            "cr_value": bound.cr_value,
-            "n_outcomes": len(pvm.projectors),
-            "estimates": [[float(v) for v in e] for e in pvm.estimates],
-            "covariance": _real_rows(cov.real),
-        }
+        name, cov = method, pvm.meta["covariance"].real
     else:
         raise ValidationError(
             "optimal measurement construction covers quasi-classical models "
             "and 2-parameter pure models")
+    report = {
+        "method": name,
+        "risk": float(np.trace(weight.G @ cov)),
+        "cr_value": bound.cr_value,
+        "n_outcomes": len(pvm.projectors),
+        "estimates": [[float(v) for v in e] for e in pvm.estimates],
+        "covariance": _real_rows(cov),
+    }
     if args.include_elements or args.format == "json":
         report["elements"] = [_complex_rows(e) for e in elements]
     lines = [f"method: {report['method']}",
@@ -305,25 +277,23 @@ def _cmd_oracle(args):
     cfg = SearchConfig(restarts=args.restarts, local_steps=args.steps,
                        seed=seed, dilate_dim=args.dilate_dim)
     res = oracle_min_weighted_variance(model, theta, weight.G, cfg)
-    floor = float(np.trace(weight.G @ np.linalg.inv(geom.JS)))
     report = {
         "oracle_value": float(res.best_value),
-        "sld_floor": floor,
+        "sld_floor": sld_bound(geom, weight).cr_value,
         "restarts": cfg.restarts,
         "local_steps": cfg.local_steps,
         "seed": seed,
         "dilate_dim": cfg.resolved_dim(geom.m),
         "singular_fraction": float(res.singular_fraction),
     }
-    closed, _ = _auto_bound(model, theta, geom, weight, seed,
-                            args.restarts, args.steps)
-    if "cr_value" in closed:
-        gap = res.best_value - closed["cr_value"]
-        if gap < -1e-9 * max(1.0, abs(closed["cr_value"])):
+    closed = attainable_bound(geom, weight, model.pure)
+    if closed is not None:
+        gap = res.best_value - closed.cr_value
+        if gap < -1e-9 * max(1.0, abs(closed.cr_value)):
             raise InternalConsistencyError(
                 f"oracle value {res.best_value!r} undercuts the closed-form "
-                f"bound {closed['cr_value']!r}")
-        report["cr_value"] = closed["cr_value"]
+                f"bound {closed.cr_value!r}")
+        report["cr_value"] = closed.cr_value
         report["gap_above_bound"] = float(gap)
     lines = [f"oracle value: {_sig(report['oracle_value'])}",
              f"sld floor:    {_sig(report['sld_floor'])}"]

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .operators import InternalConsistencyError, ValidationError
-from .models import frame_at, sld_solve, tangents
+from .operators import InternalConsistencyError, ValidationError, _sqrtm_psd
+from .models import frame_at, sld_solve
 
 __all__ = [
     "InfoGeometry",
@@ -49,11 +49,6 @@ class InfoGeometry:
     def m(self):
         return self.JS.shape[0]
 
-    @property
-    def beta_spectrum(self):
-        """Moduli of the eigenvalues of J^{S-1} J~, one entry per +-i pair."""
-        return tuple(self.beta_pairs)
-
     def eigenvalue_moduli(self):
         """All m moduli (each pair contributes twice, zeros once)."""
         out = []
@@ -64,12 +59,9 @@ class InfoGeometry:
 
 
 def _normalized_skew(js, jt):
-    """N = J^{S-1/2} J~ J^{S-1/2} and the symmetric root S = J^{S1/2}."""
-    w, u = np.linalg.eigh(js)
-    if w[0] <= 1e-13 * max(w[-1], 1.0):
-        raise ValidationError("singular J^S: redundant parameters")
-    s_half = (u * np.sqrt(w)) @ u.T
-    s_inv_half = (u / np.sqrt(w)) @ u.T
+    """N = J^{S-1/2} J~ J^{S-1/2} and the symmetric roots J^{S1/2},
+    J^{S-1/2}.  For m = 2, N = [[0, -b], [b, 0]] with b the signed beta."""
+    s_half, s_inv_half = _sqrtm_psd(js, inverse=True)
     n = s_inv_half @ jt @ s_inv_half
     n = 0.5 * (n - n.T)
     return n, s_half, s_inv_half

@@ -1,8 +1,8 @@
 """Measurement-side machinery: outcome statistics and classical Fisher
 information, optimal locally unbiased post-processing, the projective
-measurement realizing the two-parameter exact bound (built from estimation
-vectors in a dilated space), the commuting-SLD estimator for faithful models,
-and dilation/compression utilities.
+measurements realizing the SLD bound of quasi-classical pure models and the
+two-parameter exact bound (built from estimation vectors in a dilated space),
+the commuting-SLD estimator for faithful models, and Naimark compression.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +12,12 @@ import numpy as np
 from .operators import (
     InternalConsistencyError,
     ValidationError,
+    _sqrtm_psd,
     gram_schmidt_real_coefficients,
 )
+from .models import _embed_frame, sld_solve
+from .geometry import COHERENT_BETA_TOL, _normalized_skew, info_geometry
+from .bounds import _so2_diagonalizer
 
 __all__ = [
     "PvmEstimator",
@@ -22,6 +26,7 @@ __all__ = [
     "classical_fisher",
     "optimal_postprocessing",
     "construct_pvm_from_vectors",
+    "optimal_vectors_sld",
     "optimal_vectors_two_param",
     "commuting_sld_estimator",
     "naimark_compress",
@@ -235,23 +240,40 @@ def construct_pvm_from_vectors(vectors, rng_seed=0):
     return pvm
 
 
-def _isometric_embedding(frame, columns, dilate_dim):
-    """Orthonormal basis of span{columns} and the embedding of each column
-    into C^dilate_dim (first-coordinates inclusion)."""
-    mat = np.column_stack(columns)
-    q, r = np.linalg.qr(mat)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.max(np.abs(r)))
-    q = q[:, keep]
-    k = q.shape[1]
-    if dilate_dim < k:
-        raise ValidationError(f"dilate_dim {dilate_dim} < span dimension {k}")
-    coords = q.conj().T @ mat              # k x ncols
-    out = np.zeros((dilate_dim, mat.shape[1]), dtype=complex)
-    out[:k, :] = coords
-    return q, out
+def _verified_vectors(frame, phi_e, l_e, x_e, v_opt):
+    """Estimation vectors after checking Re X*L = I, Im X*X = 0,
+    Re X*X = V and <phi|x^i> = 0 in the dilated space."""
+    xl = x_e.conj().T @ l_e
+    dev = np.max(np.abs(xl.real - np.eye(frame.m)))
+    if dev > XCHECK_TOL:
+        raise InternalConsistencyError(f"Re X*L != I (max dev {dev:.3e})")
+    xx = x_e.conj().T @ x_e
+    scale = max(1.0, np.max(np.abs(xx)))
+    if np.max(np.abs(xx.imag)) > XCHECK_TOL * scale:
+        raise InternalConsistencyError("Im X*X != 0")
+    if np.max(np.abs(xx.real - v_opt)) > XCHECK_TOL * scale:
+        raise InternalConsistencyError("Re X*X != V")
+    if np.max(np.abs(x_e.conj().T @ phi_e)) > XCHECK_TOL:
+        raise InternalConsistencyError("<phi|x^i> != 0")
+    return EstimationVectors(phi=phi_e, X=x_e,
+                             theta=np.asarray(frame.theta, dtype=float))
 
 
-COHERENT_SWITCH = 1e-6
+def optimal_vectors_sld(frame, bound):
+    """Estimation vectors X = L J^{S-1} attaining the SLD bound of a
+    quasi-classical pure model, for any weight and any m.
+
+    ``bound`` is the :func:`~qest.bounds.sld_bound` result (V = J^{S-1});
+    the vectors stay in the span of phi and the lifts, so no dilation
+    beyond m + 1 dimensions is needed.  Returns ``(vectors, basis)`` like
+    :func:`optimal_vectors_two_param`.
+    """
+    if bound.method != "sld" or bound.attained != "attained":
+        raise ValidationError("requires an attained SLD bound "
+                              "(quasi-classical model)")
+    basis, phi_e, l_e = _embed_frame(frame, frame.m + 1)
+    x_e = l_e @ bound.V_opt
+    return _verified_vectors(frame, phi_e, l_e, x_e, bound.V_opt), basis
 
 
 def optimal_vectors_two_param(frame, weight, bound):
@@ -274,65 +296,38 @@ def optimal_vectors_two_param(frame, weight, bound):
     v_opt = bound.V_opt
 
     dilate_dim = 2 * frame.m + 1
-    cols = [frame.phi] + list(frame.lifts)
-    basis, embedded = _isometric_embedding(frame, cols, dilate_dim)
-    phi_e = embedded[:, 0]
-    l_e = embedded[:, 1:]
+    basis, phi_e, l_e = _embed_frame(frame, dilate_dim)
     span_k = basis.shape[1]
 
     # normalized rotated frame data
     ll = l_e.conj().T @ l_e
-    js = ll.real
-    jt = ll.imag
-    wj, uj = np.linalg.eigh(js)
-    s_half = (uj * np.sqrt(wj)) @ uj.T
-    s_inv = (uj / np.sqrt(wj)) @ uj.T
-    jt_n = s_inv @ jt @ s_inv
-    beta = abs(0.5 * (jt_n[1, 0] - jt_n[0, 1]))
+    jt_n, s_half, s_inv = _normalized_skew(ll.real, ll.imag)
+    beta = abs(jt_n[1, 0])
 
-    if beta < 1.0 - COHERENT_SWITCH:
+    if beta < 1.0 - COHERENT_BETA_TOL:
         if bound.Lambda is None:
             raise ValidationError("bound carries no Lagrange multiplier")
         x_e = l_e @ v_opt @ g @ np.linalg.inv(g - 1j * bound.Lambda)
     else:
         if span_k + 2 > dilate_dim:
             raise InternalConsistencyError("dilated space too small")
-        from .bounds import _so2_diagonalizer  # shared rotation convention
-
         g_n = s_inv @ g @ s_inv
         r, _ = _so2_diagonalizer(0.5 * (g_n + g_n.T))
         l_rot = l_e @ s_inv @ r
         v_rot = r.T @ (s_half @ v_opt @ s_half) @ r
         q = v_rot - l_rot.conj().T @ l_rot
         q = 0.5 * (q + q.conj().T)
-        wq, uq = np.linalg.eigh(q)
+        wq = np.linalg.eigvalsh(q)
         if wq[0] < -1e-7:
             raise InternalConsistencyError(
                 f"dilation tail not PSD (min eig {wq[0]:.3e})")
-        q_half = (uq * np.sqrt(np.clip(wq, 0.0, None))) @ uq.conj().T
         extra = np.zeros((dilate_dim, 2), dtype=complex)
         extra[span_k, 0] = 1.0
         extra[span_k + 1, 1] = 1.0
-        x_rot = l_rot + extra @ q_half
+        x_rot = l_rot + extra @ _sqrtm_psd(q)
         x_e = x_rot @ r.T @ s_inv
 
-    # verification in the dilated space
-    xl = x_e.conj().T @ l_e
-    if np.max(np.abs(xl.real - np.eye(2))) > XCHECK_TOL:
-        raise InternalConsistencyError(
-            f"Re X*L != I (max dev {np.max(np.abs(xl.real - np.eye(2))):.3e})")
-    xx = x_e.conj().T @ x_e
-    scale = max(1.0, np.max(np.abs(xx)))
-    if np.max(np.abs(xx.imag)) > XCHECK_TOL * scale:
-        raise InternalConsistencyError("Im X*X != 0")
-    if np.max(np.abs(xx.real - v_opt)) > XCHECK_TOL * scale:
-        raise InternalConsistencyError("Re X*X != V")
-    if np.max(np.abs(x_e.conj().T @ phi_e)) > XCHECK_TOL:
-        raise InternalConsistencyError("<phi|x^i> != 0")
-
-    vectors = EstimationVectors(phi=phi_e, X=x_e,
-                                theta=np.asarray(frame.theta, dtype=float))
-    return vectors, basis
+    return _verified_vectors(frame, phi_e, l_e, x_e, v_opt), basis
 
 
 def commuting_sld_estimator(model, theta, geom=None):
@@ -342,9 +337,6 @@ def commuting_sld_estimator(model, theta, geom=None):
     theta + J^{S-1} lambda(omega), where lambda_k(omega) is the eigenvalue of
     L_k on the outcome vector.  Covariance equals J^{S-1}.
     """
-    from .models import sld_solve
-    from .geometry import info_geometry
-
     frame = sld_solve(model, theta)
     slds = frame.slds
     m = len(slds)

@@ -54,7 +54,6 @@ class ParametricModel:
     state_at: callable
     hbar: float = 1.0
     k_b: float = 1.0
-    tangent_mode: str = "finite_difference"
     fd_step: float = FD_STEP_DEFAULT
     tangent_at: callable = None
     pure: bool = True
@@ -95,6 +94,32 @@ class TangentFrame:
                 for l in self.lifts]
 
 
+def _embed_frame(frame, dilate_dim):
+    """Dilated embedding of a pure frame.
+
+    Returns ``(basis, phi_e, L_e)``: an orthonormal basis of
+    span{phi, l_1..l_m} in the model space, and the coordinates of phi and
+    of the lifts (columns of L_e) in C^dilate_dim, where that span occupies
+    the leading coordinates.
+    """
+    if not frame.pure:
+        raise ValidationError(
+            "the dilated embedding needs a pure model; mixed models have no "
+            "measurement search yet (only the SLD floor is available)")
+    mat = np.column_stack([frame.phi] + list(frame.lifts))
+    q, r = np.linalg.qr(mat)
+    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.max(np.abs(r)))
+    q = q[:, keep]
+    k = q.shape[1]
+    if dilate_dim < max(k, frame.m + 1):
+        raise ValidationError(
+            f"dilate_dim {dilate_dim} below the embedding requirement "
+            f"{max(k, frame.m + 1)}")
+    out = np.zeros((dilate_dim, mat.shape[1]), dtype=complex)
+    out[:k, :] = q.conj().T @ mat
+    return q, out[:, 0], out[:, 1:]
+
+
 def _align_phase(ref, vec, tol=1e-6):
     """Multiply ``vec`` by a unimodular factor so <ref|vec> is real positive."""
     ov = np.vdot(ref, vec)
@@ -106,13 +131,10 @@ def _align_phase(ref, vec, tol=1e-6):
 
 
 def tangents(model, theta):
-    """List of d_i(state) at theta: either the model's analytic tangents or
-    central finite differences with pure-state phase alignment."""
+    """List of d_i(state) at theta: the model's ``tangent_at`` when it has
+    one, else central finite differences with pure-state phase alignment."""
     theta = np.asarray(theta, dtype=float)
-    if model.tangent_mode == "analytic":
-        if model.tangent_at is None:
-            raise ValidationError("model declares analytic tangents but "
-                                  "provides no tangent_at")
+    if model.tangent_at is not None:
         return [np.asarray(t, dtype=complex) for t in model.tangent_at(theta)]
 
     h = model.fd_step
@@ -210,8 +232,7 @@ def _spin_matrices(s, hbar):
     return sx, sy, sz
 
 
-def zoo_spin_coherent(s, m_z, hbar=1.0, tangent_mode="finite_difference",
-                      fd_step=FD_STEP_DEFAULT):
+def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     """Rotated spin eigenstate model, 2 parameters.
 
     phi(theta) = exp[i theta^1 (sin(theta^2) S_x - cos(theta^2) S_y)] |s, m_z>.
@@ -243,8 +264,7 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, tangent_mode="finite_difference",
         "beta": m_z / c,
     }
     return ParametricModel(kind="spin_coherent", dim=dim, m=2,
-                           state_at=state_at, hbar=hbar,
-                           tangent_mode=tangent_mode, fd_step=fd_step,
+                           state_at=state_at, hbar=hbar, fd_step=fd_step,
                            meta=meta)
 
 
@@ -407,8 +427,9 @@ def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 def explicit_model(theta, state, tangent_vectors, hbar=1.0, pure=True):
     """Single-point model: state and tangents supplied directly at ``theta``.
 
-    Only valid for evaluation exactly at ``theta`` (tangent_mode is analytic
-    and constant); used by the CLI "explicit" model-spec kind and by tests.
+    Only valid for evaluation exactly at ``theta`` (the supplied tangents are
+    returned at every point); used by the CLI "explicit" model-spec kind and
+    by tests.
     """
     theta = np.asarray(theta, dtype=float)
     tvs = [np.asarray(t, dtype=complex) for t in tangent_vectors]
@@ -420,7 +441,6 @@ def explicit_model(theta, state, tangent_vectors, hbar=1.0, pure=True):
         dim = st.dim
     return ParametricModel(kind="explicit", dim=dim, m=len(tvs),
                            state_at=lambda th: st, hbar=hbar,
-                           tangent_mode="analytic",
                            tangent_at=lambda th: tvs, pure=pure)
 
 
@@ -437,9 +457,8 @@ def load_model_spec(spec):
     """Build (model, theta) from a JSON-compatible mapping.
 
     Format: { "kind": str, "hbar": num, "k_b": num, "trunc_dim": int,
-    "params": {...}, "theta": [...], "tangent": "analytic"|"finite_difference",
-    "fd_step": num }.  Kind "explicit" supplies "state" and "tangents" as
-    arrays of [re, im] pairs.
+    "params": {...}, "theta": [...], "fd_step": num }.  Kind "explicit"
+    supplies "state" and "tangents" as arrays of [re, im] pairs.
     """
     if not isinstance(spec, dict):
         raise ValidationError("model spec must be a mapping")

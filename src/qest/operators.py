@@ -112,6 +112,21 @@ def hermitian_eigendecomposition(a, tol=TOL):
     return w, u
 
 
+def _sqrtm_psd(a, inverse=False):
+    """Hermitian square root of a PSD matrix, with round-off negative
+    eigenvalues clipped to zero.  ``inverse=True`` (used for J^S) also
+    returns the inverse root from the same eigendecomposition and rejects a
+    singular matrix."""
+    w, u = np.linalg.eigh(a)
+    if inverse and w[0] <= 1e-13 * max(w[-1], 1.0):
+        raise ValidationError("singular J^S: redundant parameters")
+    w = np.clip(w, 0.0, None)
+    root = (u * np.sqrt(w)) @ u.conj().T
+    if not inverse:
+        return root
+    return root, (u / np.sqrt(w)) @ u.conj().T
+
+
 def matrix_exponential_skew(h, scale=1.0, tol=TOL):
     """Unitary ``exp(i * scale * H)`` for Hermitian ``H`` via eigendecomposition."""
     w, u = hermitian_eigendecomposition(h, tol)

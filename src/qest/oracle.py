@@ -6,13 +6,14 @@ upper bounds on the attainable risk that must never undercut any closed-form
 bound value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import InternalConsistencyError, ValidationError
-from .models import frame_at
+from .models import _embed_frame, frame_at
 from .geometry import info_geometry
+from .bounds import WeightMatrix, sld_bound
 
 __all__ = ["SearchConfig", "OracleResult", "oracle_min_weighted_variance",
            "verify_bound"]
@@ -37,24 +38,6 @@ class OracleResult:
     best_basis: np.ndarray
     improvement_trace: list
     singular_fraction: float
-
-
-def _embed_frame(frame, dilate_dim):
-    """Coordinates of phi and the lifts inside the dilated space (the span
-    of {phi, l_1..l_m} occupies the leading coordinates)."""
-    cols = [frame.phi] + list(frame.lifts)
-    mat = np.column_stack(cols)
-    q, r = np.linalg.qr(mat)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.max(np.abs(r)))
-    q = q[:, keep]
-    k = q.shape[1]
-    if dilate_dim < max(k, frame.m + 1):
-        raise ValidationError(
-            f"dilate_dim {dilate_dim} below embedding requirement")
-    coords = q.conj().T @ mat
-    out = np.zeros((dilate_dim, mat.shape[1]), dtype=complex)
-    out[:k, :] = coords
-    return out[:, 0], out[:, 1:]   # phi_e, L_e (dilate_dim x m)
 
 
 def _risk_of_basis(basis, phi_e, l_e, g):
@@ -92,12 +75,9 @@ def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
     unitary) is injected as an extra restart.
     """
     frame = frame_at(model, theta)
-    geom = info_geometry(frame)
-    if np.linalg.eigvalsh(geom.JS)[0] <= 0:
-        raise ValidationError("singular J^S")
     g = np.asarray(g, dtype=float)
     dim = cfg.resolved_dim(frame.m)
-    phi_e, l_e = _embed_frame(frame, dim)
+    _, phi_e, l_e = _embed_frame(frame, dim)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_value = np.inf
@@ -157,8 +137,8 @@ def verify_bound(model, theta, g, closed_form, cfg=SearchConfig(),
         raise InternalConsistencyError(
             f"oracle ({res.best_value!r}) undercuts the closed-form bound "
             f"({closed_form.cr_value!r}): floor violation")
-    floor = float(np.trace(g @ np.linalg.inv(
-        info_geometry(frame_at(model, theta)).JS)))
+    floor = sld_bound(info_geometry(frame_at(model, theta)),
+                      WeightMatrix.from_matrix(g)).cr_value
     return {
         "oracle_value": res.best_value,
         "cr_value": closed_form.cr_value,

@@ -1,14 +1,14 @@
 """Monte-Carlo layer: adaptive weighted-quantum-MLE simulation (conjecture
 probe) and the time-energy hypothesis-testing report."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import ValidationError, hermitian_eigendecomposition
 from .models import frame_at
 from .geometry import info_geometry
-from .bounds import WeightMatrix, cr_two_param
+from .bounds import cr_two_param
 from .measurements import (
     construct_pvm_from_vectors,
     naimark_compress,

@@ -4,6 +4,7 @@ import pytest
 from conftest import synthetic_lift_model
 from qest.bounds import (
     WeightMatrix,
+    attainable_bound,
     boundary_curve,
     cr_coherent,
     cr_direct_sum,
@@ -36,16 +37,52 @@ IDENTITY2 = WeightMatrix.from_matrix(np.eye(2))
 
 class TestSldBound:
     def test_identity(self):
-        res = sld_bound(make_geom(0.3))
+        res = sld_bound(make_geom(0.3), IDENTITY2)
         assert np.allclose(res.V_opt, np.eye(2))
 
     def test_diagonal_inverse(self):
-        res = sld_bound(make_geom(0.0, js=np.diag([1.0, 0.75])))
+        res = sld_bound(make_geom(0.0, js=np.diag([1.0, 0.75])), IDENTITY2)
         assert np.allclose(res.V_opt, np.diag([1.0, 4.0 / 3.0]))
         assert res.attained == "attained"
 
     def test_not_attained_when_incompatible(self):
-        assert sld_bound(make_geom(0.5)).attained == "infimum_only"
+        assert sld_bound(make_geom(0.5), IDENTITY2).attained == "infimum_only"
+
+    def test_weighted_floor(self):
+        # Tr G J^{S-1} = 2 * 1 + 3 * 4/3
+        res = sld_bound(make_geom(0.0, js=np.diag([1.0, 0.75])),
+                        WeightMatrix.from_matrix(np.diag([2.0, 3.0])))
+        assert abs(res.cr_value - 6.0) <= 1e-12
+
+
+class TestAttainableBound:
+    G2 = WeightMatrix.from_matrix(np.diag([2.0, 1.0]))
+
+    def test_quasi_classical_is_sld(self):
+        res = attainable_bound(make_geom(0.0), self.G2, pure=True)
+        assert res.method == "sld" and abs(res.cr_value - 3.0) <= 1e-12
+
+    def test_two_param_pure(self):
+        res = attainable_bound(make_geom(0.6), self.G2, pure=True)
+        assert res.method == "two_param"
+        assert res.cr_value == cr_two_param(make_geom(0.6), self.G2).cr_value
+
+    def test_coherent_before_interval(self):
+        model, theta = synthetic_lift_model(np.kron(
+            np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])))
+        geom = geometry_at(model, theta)
+        res = attainable_bound(geom, WeightMatrix.from_matrix(np.eye(4)),
+                               pure=True)
+        assert res.method == "coherent" and abs(res.cr_value - 8.0) <= 1e-8
+
+    def test_no_closed_form(self):
+        # mixed with 0 < beta < 1, and pure with odd m: interval only
+        assert attainable_bound(make_geom(0.6), self.G2, pure=False) is None
+        model, theta = synthetic_lift_model(
+            np.array([[0.0, -0.5, 0.2], [0.5, 0.0, -0.3], [-0.2, 0.3, 0.0]]))
+        geom = geometry_at(model, theta)
+        assert attainable_bound(geom, WeightMatrix.from_matrix(np.eye(3)),
+                                pure=True) is None
 
 
 class TestCrTwoParam:

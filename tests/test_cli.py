@@ -174,3 +174,115 @@ class TestSimulateQmle:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "trial,n,theta_hat_1,theta_hat_2"
         assert len(lines) == 4
+
+
+SPIN1_SPEC = {
+    "kind": "spin_coherent",
+    "params": {"s": 1.0, "m_z": 0.0},
+    "theta": [1.1, 0.4],
+}
+
+# Faithful qubit rho = diag(0.7, 0.3) with tangents 0.1 sigma_x, 0.1 sigma_y:
+# mixed and not quasi-classical, so no closed form and no oracle.
+MIXED_SPEC = {
+    "kind": "explicit",
+    "theta": [0.0, 0.0],
+    "params": {
+        "pure": False,
+        "state": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
+        "tangents": [
+            [[[0.0, 0.0], [0.1, 0.0]], [[0.1, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, -0.1]], [[0.0, 0.1], [0.0, 0.0]]],
+        ],
+    },
+}
+
+
+def explicit3_spec():
+    """Pure 3-parameter model with lift Gram matrix I + i*JT (phi = e_0,
+    tangent i = lift i / 2): odd m and not quasi-classical, so `bound`
+    answers with the [SLD floor, oracle] interval."""
+    jt = np.array([[0.0, -0.5, 0.2], [0.5, 0.0, -0.3], [-0.2, 0.3, 0.0]])
+    w, u = np.linalg.eigh(np.eye(3) + 1j * jt)
+    b = (u * np.sqrt(w)) @ u.conj().T
+    tangents = [[[0.0, 0.0]] + [[v.real / 2, v.imag / 2] for v in b[:, i]]
+                for i in range(3)]
+    state = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    return {"kind": "explicit", "theta": [0.0, 0.0, 0.0],
+            "params": {"state": state, "tangents": tangents}}
+
+
+def write_spec(tmp_path, name, spec):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def elements_sum(report):
+    return sum(np.array([[complex(re, im) for re, im in row] for row in e])
+               for e in report["elements"])
+
+
+class TestQuasiClassicalPureMeasurement:
+    """Spin 1 with m_z = 0 has Jtilde = 0: the SLD bound Tr G J^{S-1} is
+    attained by estimation vectors X = L J^{S-1} for any weight."""
+
+    @pytest.mark.parametrize("g", [None, [[2.0, 0.3], [0.3, 0.5]]])
+    def test_attains_sld_floor(self, tmp_path, capsys, g):
+        spec = write_spec(tmp_path, "spin1", SPIN1_SPEC)
+        weight = "identity" if g is None else write_spec(tmp_path, "w", g)
+        assert run(["measurement", "--model", spec, "--weight", weight,
+                    "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        th = SPIN1_SPEC["theta"]
+        js = 4.0 * np.diag([1.0, np.sin(th[0]) ** 2])   # 2 (s^2 + s) diag
+        gm = np.eye(2) if g is None else np.array(g)
+        floor = np.trace(gm @ np.linalg.inv(js))
+        assert report["method"] == "sld"
+        assert abs(report["cr_value"] - floor) <= 1e-6 * floor
+        assert abs(report["risk"] - report["cr_value"]) <= 1e-10
+        assert np.max(np.abs(elements_sum(report) - np.eye(3))) <= 1e-10
+
+
+class TestMixedWithoutClosedForm:
+    @pytest.mark.parametrize("cmd", [["bound"], ["oracle", "--restarts", "1",
+                                                  "--steps", "10"]])
+    def test_validation_error_not_traceback(self, tmp_path, capsys, cmd):
+        spec = write_spec(tmp_path, "mixed", MIXED_SPEC)
+        assert run(cmd + ["--model", spec]) == 2
+        assert "pure model" in capsys.readouterr().err
+
+
+class TestOracleSearchesOnce:
+    @pytest.mark.parametrize("name,spec,weight", [
+        ("explicit3", explicit3_spec(), "identity"),
+        ("spin", SPIN_SPEC, "js"),
+    ])
+    def test_one_search_per_command(self, tmp_path, capsys, monkeypatch,
+                                    name, spec, weight):
+        import qest.cli
+        calls = []
+        search = qest.cli.oracle_min_weighted_variance
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(qest.cli, "oracle_min_weighted_variance",
+                            counting)
+        path = write_spec(tmp_path, name, spec)
+        assert run(["oracle", "--model", path, "--weight", weight,
+                    "--restarts", "2", "--steps", "50", "--seed", "5",
+                    "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert ("cr_value" in report) == (name == "spin")
+
+    def test_bound_interval_on_explicit3(self, tmp_path, capsys):
+        path = write_spec(tmp_path, "explicit3", explicit3_spec())
+        assert run(["bound", "--model", path, "--restarts", "2",
+                    "--steps", "50", "--seed", "5", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "interval"
+        assert abs(report["lower"] - 3.0) <= 1e-9      # Tr J^{S-1}, J^S = I
+        assert report["lower"] <= report["upper"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import great_circle_model, synthetic_lift_model
-from qest.bounds import WeightMatrix, cr_coherent, cr_two_param
+from qest.bounds import WeightMatrix, cr_coherent, cr_two_param, sld_bound
 from qest.geometry import info_geometry
 from qest.measurements import (
     EstimationVectors,
@@ -11,6 +11,7 @@ from qest.measurements import (
     construct_pvm_from_vectors,
     naimark_compress,
     optimal_postprocessing,
+    optimal_vectors_sld,
     optimal_vectors_two_param,
     outcome_distribution,
 )
@@ -176,6 +177,33 @@ class TestOptimalVectors:
             risk = np.trace(g @ pvm.meta["covariance"]).real
             assert abs(risk - bound.cr_value) <= 1e-8 * max(1.0,
                                                             bound.cr_value)
+
+
+class TestOptimalVectorsSld:
+    def test_attains_floor_for_any_weight_and_m(self):
+        # quasi-classical pure model with m = 3 and a non-diagonal J^S
+        model, theta = synthetic_lift_model(np.zeros((3, 3)), dim=6)
+        frame = frame_at(model, theta)
+        geom = info_geometry(frame)
+        g = WeightMatrix.from_matrix(np.array([[2.0, 0.3, 0.0],
+                                               [0.3, 1.0, 0.1],
+                                               [0.0, 0.1, 0.5]]))
+        bound = sld_bound(geom, g)
+        vectors, basis = optimal_vectors_sld(frame, bound)
+        pvm = construct_pvm_from_vectors(vectors)
+        risk = np.trace(g.G @ pvm.meta["covariance"]).real
+        assert abs(risk - bound.cr_value) <= 1e-10
+        elements, _ = naimark_compress(pvm, basis)
+        assert np.max(np.abs(sum(elements) - np.eye(6))) <= 1e-10
+
+    def test_refuses_incompatible_model(self):
+        model, theta = synthetic_lift_model(
+            np.array([[0.0, -0.5], [0.5, 0.0]]))
+        frame = frame_at(model, theta)
+        bound = sld_bound(info_geometry(frame),
+                          WeightMatrix.from_matrix(np.eye(2)))
+        with pytest.raises(ValidationError):
+            optimal_vectors_sld(frame, bound)
 
 
 class TestCommutingSldEstimator:

@@ -36,6 +36,14 @@ class TestTangents:
         (dphi,) = tangents(model, np.array([0.3]))
         assert np.max(np.abs(dphi)) <= 1e-8
 
+    def test_tangent_at_used_when_supplied(self):
+        model = ParametricModel(
+            kind="const", dim=2, m=1,
+            state_at=lambda th: pure_state(np.array([1.0, 0.0])),
+            tangent_at=lambda th: [np.array([0.0, 2.0])])
+        (dphi,) = tangents(model, np.array([0.3]))
+        assert np.array_equal(dphi, np.array([0.0, 2.0]))
+
     def test_step_halving_consistency(self):
         th = np.array([0.9, 1.3])
         coarse = zoo_spin_coherent(0.5, 0.5, fd_step=1e-4)
