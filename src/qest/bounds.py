@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    SINGULAR_RTOL,
     InternalConsistencyError,
     ValidationError,
     _sqrtm_psd,
@@ -19,6 +20,7 @@ from .operators import (
 )
 from .geometry import (
     COHERENT_BETA_TOL,
+    QUASI_CLASSICAL_RTOL,
     InfoGeometry,
     _normalized_skew,
     decompose_direct_sum,
@@ -49,13 +51,20 @@ class WeightMatrix:
 
     @classmethod
     def from_matrix(cls, g):
-        g = np.asarray(g, dtype=float)
+        """Validated weight: a finite real symmetric PSD square matrix."""
+        try:
+            g = np.asarray(g, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("weight matrix must be a square array of "
+                                  "numbers")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("weight matrix has non-finite entries")
         g = as_hermitian(g).real
         w = np.linalg.eigvalsh(g)
-        if w[0] < -1e-12 * max(1.0, abs(w[-1])):
+        cutoff = SINGULAR_RTOL * max(1.0, abs(w[-1]))
+        if w[0] < -cutoff:
             raise ValidationError(f"weight matrix has eigenvalue {w[0]:.3e} < 0")
-        strict = bool(w[0] > 1e-12 * max(1.0, abs(w[-1])))
-        return cls(G=g, strict=strict)
+        return cls(G=g, strict=bool(w[0] > cutoff))
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,7 @@ def cr_two_param(geom, weight):
     g_n = 0.5 * (g_n + g_n.T)
 
     gw = np.linalg.eigvalsh(g_n)
-    rank1 = gw[0] <= 1e-12 * max(1.0, gw[-1])
+    rank1 = gw[0] <= SINGULAR_RTOL * max(1.0, gw[-1])
 
     if rank1:
         # Tr G V is constant (= g1 * 1) along the achievable half-line; for
@@ -325,21 +334,19 @@ def cr_general_js(geom):
     moduli = geom.eigenvalue_moduli()
     moduli = np.clip(moduli, 0.0, 1.0)
     value = float(np.sum(2.0 / (1.0 + np.sqrt(1.0 - moduli**2))))
-    attained = "attained"
-    return BoundResult(cr_value=value, method="general_js", attained=attained,
+    return BoundResult(cr_value=value, method="general_js",
                        note="weight G = J^S")
 
 
-def cr_direct_sum(geom, weight, blocks=None, a=None):
+def cr_direct_sum(geom, weight):
     """Additive bound over informationally independent blocks.
 
-    ``blocks, a`` default to :func:`decompose_direct_sum` of ``geom``.  The
+    The blocks come from :func:`decompose_direct_sum` of ``geom``.  The
     weight must be block-diagonal in the decomposition's coordinates
     (off-block mass <= 1e-10 relative); otherwise the closed form does not
     apply and the caller should fall back to the oracle interval.
     """
-    if blocks is None or a is None:
-        blocks, a = decompose_direct_sum(geom)
+    blocks, a = decompose_direct_sum(geom)
     a_inv = np.linalg.inv(a)
     g_new = a_inv.T @ weight.G @ a_inv
     g_new = 0.5 * (g_new + g_new.T)
@@ -367,7 +374,7 @@ def cr_direct_sum(geom, weight, blocks=None, a=None):
             continue
         sub = InfoGeometry(JS=np.eye(2), Jtilde=jt_new[np.ix_(idx, idx)],
                            beta_pairs=(blk.beta,), n_zero=0,
-                           quasi_classical=blk.beta <= 1e-9,
+                           quasi_classical=blk.beta <= QUASI_CLASSICAL_RTOL,
                            coherent=abs(blk.beta - 1) <= COHERENT_BETA_TOL)
         res = cr_two_param(sub, WeightMatrix.from_matrix(gb))
         total += res.cr_value

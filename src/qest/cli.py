@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .operators import InternalConsistencyError, ValidationError
+from .operators import ORACLE_SLACK, InternalConsistencyError, ValidationError
 from .models import frame_at, load_model_spec
-from .geometry import coherency_det_check, info_geometry
+from .geometry import COHERENT_BETA_TOL, coherency_det_check, info_geometry
 from .bounds import (
     WeightMatrix,
     attainable_bound,
@@ -92,14 +92,9 @@ def _load_model(args):
         raise ValidationError(
             f"malformed model spec {args.model}: line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}")
+    if args.theta and isinstance(spec, dict):
+        spec = dict(spec, theta=args.theta.split(","))
     model, theta = load_model_spec(spec)
-    if getattr(args, "theta", None):
-        override = np.array([float(v) for v in args.theta.split(",")])
-        if len(override) != model.m:
-            raise ValidationError(
-                f"--theta has {len(override)} components, model needs "
-                f"{model.m}")
-        theta = override
     return model, theta, spec
 
 
@@ -115,23 +110,14 @@ def _load_weight(spec_str, geom):
         raise ValidationError(f"cannot read weight file: {exc}")
     try:
         rows = json.loads(content)
-    except json.JSONDecodeError:
-        try:
-            rows = [[float(v) for v in line.split()]
-                    for line in content.splitlines() if line.strip()]
-        except ValueError:
-            raise ValidationError(f"weight file {spec_str} is neither JSON "
-                                  "nor a whitespace matrix")
-    g = np.asarray(rows, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValidationError("weight file must hold a square matrix")
-    if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-        raise ValidationError("weight matrix is not symmetric")
-    if g.shape[0] != geom.m:
+    except json.JSONDecodeError:   # whitespace matrix; from_matrix parses it
+        rows = [line.split() for line in content.splitlines() if line.strip()]
+    weight = WeightMatrix.from_matrix(rows)
+    if weight.G.shape[0] != geom.m:
         raise ValidationError(
-            f"weight is {g.shape[0]}x{g.shape[0]}, model has {geom.m} "
-            "parameters")
-    return WeightMatrix.from_matrix(g)
+            f"weight is {weight.G.shape[0]}x{weight.G.shape[0]}, model has "
+            f"{geom.m} parameters")
+    return weight
 
 
 def _resolve_seed(args):
@@ -289,7 +275,7 @@ def _cmd_oracle(args):
     closed = attainable_bound(geom, weight, model.pure)
     if closed is not None:
         gap = res.best_value - closed.cr_value
-        if gap < -1e-9 * max(1.0, abs(closed.cr_value)):
+        if gap < -ORACLE_SLACK * max(1.0, abs(closed.cr_value)):
             raise InternalConsistencyError(
                 f"oracle value {res.best_value!r} undercuts the closed-form "
                 f"bound {closed.cr_value!r}")
@@ -413,7 +399,7 @@ def _selftest_checks():
         geom = InfoGeometry(JS=np.eye(2), Jtilde=jt,
                             beta_pairs=(float(beta),), n_zero=0,
                             quasi_classical=beta == 0.0,
-                            coherent=abs(beta - 1) < 1e-9)
+                            coherent=abs(beta - 1) <= COHERENT_BETA_TOL)
         val = cr_two_param(geom, WeightMatrix.from_matrix(np.eye(2))).cr_value
         gen = cr_general_js(geom).cr_value
         worst = max(worst, abs(val - target), abs(gen - target))
@@ -472,7 +458,7 @@ def _selftest_checks():
     geom = info_geometry(frame_at(model, th))
     cfg = SearchConfig(restarts=8, local_steps=600, seed=2024)
     res = oracle_min_weighted_variance(model, th, geom.JS, cfg)
-    ok = 4.0 - 1e-9 <= res.best_value <= 4.2
+    ok = 4.0 - ORACLE_SLACK <= res.best_value <= 4.2
     yield "oracle vs closed form on the spin model", ok, \
         f"value {res.best_value:.9g}"
 

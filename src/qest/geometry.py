@@ -137,9 +137,9 @@ def coherency_det_check(geom):
     return bool(abs(det_js - det_jt) <= 1e-6 * det_js)
 
 
-def uhlmann_curvature(model, theta, step=CURVATURE_STEP):
-    """Curvature components F_ij = (d_i L_j - d_j L_i) - [L_i, L_j]/2 for a
-    faithful model, with SLD derivatives by central differences."""
+def uhlmann_curvature(model, theta):
+    """Curvature F_ij = (d_i L_j - d_j L_i) - [L_i, L_j]/2 of a faithful model,
+    with SLD derivatives by central differences of step CURVATURE_STEP."""
     theta = np.asarray(theta, dtype=float)
     m = model.m
     frame0 = sld_solve(model, theta)
@@ -147,26 +147,19 @@ def uhlmann_curvature(model, theta, step=CURVATURE_STEP):
     dl = []  # dl[i][j] = d_i L_j, Richardson-extrapolated central differences
     for i in range(m):
         dt = np.zeros(m)
-        dt[i] = step
+        dt[i] = CURVATURE_STEP
         lp = sld_solve(model, theta + dt).slds
         lm = sld_solve(model, theta - dt).slds
         lp2 = sld_solve(model, theta + 2 * dt).slds
         lm2 = sld_solve(model, theta - 2 * dt).slds
         dl.append([(8.0 * (lp[j] - lm[j]) - (lp2[j] - lm2[j]))
-                   / (12.0 * step) for j in range(m)])
+                   / (12.0 * CURVATURE_STEP) for j in range(m)])
     f = {}
     for i in range(m):
         for j in range(i + 1, m):
             comm = slds[i] @ slds[j] - slds[j] @ slds[i]
             f[(i, j)] = (dl[i][j] - dl[j][i]) - 0.5 * comm
     return f
-
-
-def _transport_generator(model, theta):
-    """SLD operator supplier for horizontal transport (works for both pure
-    and faithful models via the frame's sld_operators)."""
-    frame = frame_at(model, theta)
-    return frame.sld_operators()
 
 
 def rpf_transport(model, vertices, steps_per_edge=200):
@@ -191,13 +184,12 @@ def rpf_transport(model, vertices, steps_per_edge=200):
     w0 = w.copy()
 
     def l_of(theta, velocity):
-        ops = _transport_generator(model, theta)
+        ops = frame_at(model, theta).sld_operators()
         acc = np.zeros((model.dim, model.dim), dtype=complex)
         for v, op in zip(velocity, ops):
             acc += v * op
         return acc
 
-    max_phase_step = 0.0
     for a, b in zip(vertices[:-1], vertices[1:]):
         seg = b - a
         if np.linalg.norm(seg) == 0:

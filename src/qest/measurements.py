@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    DERIV_FLOOR,
+    PROB_FLOOR,
+    SINGULAR_RTOL,
     InternalConsistencyError,
     ValidationError,
     _sqrtm_psd,
@@ -35,8 +38,6 @@ __all__ = [
 PVM_TOL = 1e-10
 UNBIASED_TOL = 1e-8
 XCHECK_TOL = 1e-8
-PROB_FLOOR = 1e-12
-DERIV_FLOOR = 1e-9
 COMMUTATOR_TOL = 1e-8
 
 
@@ -46,28 +47,24 @@ class PvmEstimator:
 
     ``projectors[k]`` is Hermitian idempotent on a space of dimension
     ``ambient_dim``; projectors sum to the identity.  ``estimates[k]`` is the
-    parameter estimate announced on outcome k.  ``embedding`` (optional,
-    ambient_dim x base_dim isometry) records how the model's relevant
-    subspace sits inside a dilated ambient space.
+    parameter estimate announced on outcome k.
     """
 
     projectors: list
     estimates: list
     ambient_dim: int
-    embedding: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
-    def validate(self, tol=PVM_TOL):
+    def validate(self):
         total = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
         for p in self.projectors:
-            if np.max(np.abs(p - p.conj().T)) > tol:
+            if np.max(np.abs(p - p.conj().T)) > PVM_TOL:
                 raise ValidationError("projector not Hermitian")
-            if np.max(np.abs(p @ p - p)) > tol:
+            if np.max(np.abs(p @ p - p)) > PVM_TOL:
                 raise ValidationError("projector not idempotent")
             total += p
-        if np.max(np.abs(total - np.eye(self.ambient_dim))) > tol:
+        if np.max(np.abs(total - np.eye(self.ambient_dim))) > PVM_TOL:
             raise ValidationError("projectors do not sum to identity")
-        return True
 
 
 @dataclass(frozen=True)
@@ -113,9 +110,9 @@ def outcome_distribution(frame, projectors):
 def classical_fisher(p, dp):
     """Classical Fisher matrix of an outcome distribution.
 
-    Outcomes with p <= 1e-12 are excluded; if such an outcome still has a
-    first-order probability flow (|dp| > 1e-9) the information diverges in
-    that direction and the result carries ``singular=True``.
+    Outcomes with p <= PROB_FLOOR are excluded; if such an outcome still has
+    a first-order probability flow (|dp| > DERIV_FLOOR) the information
+    diverges in that direction and the result carries ``singular=True``.
 
     Returns ``(J_M, singular)``.
     """
@@ -141,7 +138,7 @@ def optimal_postprocessing(p, dp, g):
             "unbounded information direction: zero-probability outcome with "
             "nonzero derivative")
     w = np.linalg.eigvalsh(jm)
-    if w[0] <= 1e-12 * max(1.0, w[-1]):
+    if w[0] <= SINGULAR_RTOL * max(1.0, w[-1]):
         raise ValidationError("singular classical Fisher matrix: "
                               "interval-only result")
     jm_inv = np.linalg.inv(jm)
@@ -183,15 +180,13 @@ def construct_pvm_from_vectors(vectors, rng_seed=0):
     phi = vectors.phi
     xs = [vectors.X[:, i] for i in range(vectors.X.shape[1])]
     theta = vectors.theta
-    m = len(xs)
     dim = len(phi)
 
     basis, coeffs, rank = gram_schmidt_real_coefficients([phi] + xs)
     if dim < rank:
         raise ValidationError("ambient space too small for the construction")
     # lam[i, j]: coefficient of x^i on basis vector j (row 0 of coeffs is phi)
-    lam = np.zeros((m, rank))
-    lam[:, :coeffs.shape[1]] = coeffs[1:, :]
+    lam = coeffs[1:]
 
     k = rank
     o = _householder_orthogonal(k)

@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    TOL,
-    QuantumState,
+    FAITHFUL_MIN_EIG,
+    LIFT_RESIDUAL_RTOL,
+    SINGULAR_RTOL,
     ValidationError,
     hermitian_eigendecomposition,
     matrix_exponential_skew,
@@ -53,7 +54,6 @@ class ParametricModel:
     m: int
     state_at: callable
     hbar: float = 1.0
-    k_b: float = 1.0
     fd_step: float = FD_STEP_DEFAULT
     tangent_at: callable = None
     pure: bool = True
@@ -75,7 +75,6 @@ class TangentFrame:
 
     theta: np.ndarray
     pure: bool
-    hbar: float = 1.0
     phi: np.ndarray = None
     lifts: list = None
     rho: np.ndarray = None
@@ -108,7 +107,7 @@ def _embed_frame(frame, dilate_dim):
             "measurement search yet (only the SLD floor is available)")
     mat = np.column_stack([frame.phi] + list(frame.lifts))
     q, r = np.linalg.qr(mat)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.max(np.abs(r)))
+    keep = np.abs(np.diag(r)) > SINGULAR_RTOL * max(1.0, np.abs(r).max())
     q = q[:, keep]
     k = q.shape[1]
     if dilate_dim < max(k, frame.m + 1):
@@ -120,7 +119,7 @@ def _embed_frame(frame, dilate_dim):
     return q, out[:, 0], out[:, 1:]
 
 
-def _align_phase(ref, vec, tol=1e-6):
+def _align_phase(ref, vec):
     """Multiply ``vec`` by a unimodular factor so <ref|vec> is real positive."""
     ov = np.vdot(ref, vec)
     if abs(ov) < 1e-12:
@@ -154,7 +153,7 @@ def tangents(model, theta):
     return out
 
 
-def horizontal_lift(model, theta, tol=TOL):
+def horizontal_lift(model, theta):
     """Tangent frame of a pure model: horizontal lifts of the coordinate
     tangents, l_i = 2 (I - |phi><phi|) |d_i phi>."""
     if not model.pure:
@@ -174,11 +173,10 @@ def horizontal_lift(model, theta, tol=TOL):
     if rank < model.m:
         raise ValidationError(
             f"redundant parameters: real span of lifts has rank {rank} < {model.m}")
-    return TangentFrame(theta=theta, pure=True, hbar=model.hbar,
-                        phi=phi, lifts=lifts)
+    return TangentFrame(theta=theta, pure=True, phi=phi, lifts=lifts)
 
 
-def sld_solve(model, theta, tol=TOL):
+def sld_solve(model, theta):
     """Tangent frame of a faithful mixed model: Hermitian SLDs from the
     eigenbasis formula (L_i)_{ab} = 2 <a|d_i rho|b> / (p_a + p_b)."""
     theta = np.asarray(theta, dtype=float)
@@ -186,8 +184,8 @@ def sld_solve(model, theta, tol=TOL):
     if st.kind != "mixed":
         raise ValidationError("sld_solve requires a mixed model")
     rho = st.density
-    p, u = hermitian_eigendecomposition(rho, tol)
-    if p[0] < tol.faithful_min_eig:
+    p, u = hermitian_eigendecomposition(rho)
+    if p[0] < FAITHFUL_MIN_EIG:
         raise ValidationError(
             f"state not faithful at theta={theta}: min eigenvalue {p[0]:.3e}; "
             "use the pure-state path or regularize the model")
@@ -199,18 +197,17 @@ def sld_solve(model, theta, tol=TOL):
         l = u @ m_eig @ u.conj().T
         l = 0.5 * (l + l.conj().T)
         resid = np.linalg.norm(0.5 * (l @ rho + rho @ l) - drho)
-        if resid > tol.lift_residual * max(1.0, np.linalg.norm(drho)):
+        if resid > LIFT_RESIDUAL_RTOL * max(1.0, np.linalg.norm(drho)):
             raise ValidationError(f"SLD reconstruction residual {resid:.3e}")
         slds.append(l)
-    return TangentFrame(theta=theta, pure=False, hbar=model.hbar,
-                        rho=rho, slds=slds)
+    return TangentFrame(theta=theta, pure=False, rho=rho, slds=slds)
 
 
-def frame_at(model, theta, tol=TOL):
+def frame_at(model, theta):
     """Dispatch to horizontal_lift (pure) or sld_solve (faithful mixed)."""
     if model.pure:
-        return horizontal_lift(model, theta, tol)
-    return sld_solve(model, theta, tol)
+        return horizontal_lift(model, theta)
+    return sld_solve(model, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +398,8 @@ def zoo_canonical(energies, k_b=1.0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
         "js": lambda t: heat_capacity(t) / (k_b * t * t),
     }
     return ParametricModel(kind="canonical", dim=len(e), m=1,
-                           state_at=state_at, hbar=hbar, k_b=k_b,
-                           fd_step=fd_step, pure=False, meta=meta)
+                           state_at=state_at, hbar=hbar, fd_step=fd_step,
+                           pure=False, meta=meta)
 
 
 def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
@@ -431,15 +428,10 @@ def explicit_model(theta, state, tangent_vectors, hbar=1.0, pure=True):
     returned at every point); used by the CLI "explicit" model-spec kind and
     by tests.
     """
-    theta = np.asarray(theta, dtype=float)
     tvs = [np.asarray(t, dtype=complex) for t in tangent_vectors]
-    if pure:
-        st = pure_state(state)
-        dim = st.dim
-    else:
-        st = mixed_state(state, require_faithful=True)
-        dim = st.dim
-    return ParametricModel(kind="explicit", dim=dim, m=len(tvs),
+    st = (pure_state(state) if pure
+          else mixed_state(state, require_faithful=True))
+    return ParametricModel(kind="explicit", dim=st.dim, m=len(tvs),
                            state_at=lambda th: st, hbar=hbar,
                            tangent_at=lambda th: tvs, pure=pure)
 
@@ -453,44 +445,73 @@ def _complex_array(pairs):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _finite_floats(values, what):
+    try:
+        out = np.array([float(v) for v in values])
+    except (TypeError, ValueError):
+        out = np.array([np.nan])
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{what} must be finite numbers, got {values!r}")
+    return out
+
+
+def _positive(spec, key, default):
+    try:
+        value = float(spec.get(key, default))
+    except (TypeError, ValueError):
+        value = np.nan
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"model spec {key!r} must be finite and > 0")
+    return value
+
+
 def load_model_spec(spec):
     """Build (model, theta) from a JSON-compatible mapping.
 
     Format: { "kind": str, "hbar": num, "k_b": num, "trunc_dim": int,
     "params": {...}, "theta": [...], "fd_step": num }.  Kind "explicit"
-    supplies "state" and "tangents" as arrays of [re, im] pairs.
+    supplies "state" and "tangents" as arrays of [re, im] pairs.  A bad field
+    raises :class:`ValidationError` naming it.
     """
     if not isinstance(spec, dict):
         raise ValidationError("model spec must be a mapping")
     kind = spec.get("kind")
-    hbar = float(spec.get("hbar", 1.0))
-    k_b = float(spec.get("k_b", 1.0))
-    trunc = int(spec.get("trunc_dim", TRUNC_DIM_DEFAULT))
+    hbar = _positive(spec, "hbar", 1.0)
+    k_b = _positive(spec, "k_b", 1.0)
+    fd_step = _positive(spec, "fd_step", FD_STEP_DEFAULT)
+    theta = _finite_floats(spec.get("theta", []), "theta")
     params = spec.get("params", {})
-    fd_step = float(spec.get("fd_step", FD_STEP_DEFAULT))
-    theta = np.asarray(spec.get("theta", []), dtype=float)
 
-    if kind == "spin_coherent":
-        model = zoo_spin_coherent(float(params["s"]), float(params["m_z"]),
-                                  hbar=hbar, fd_step=fd_step)
-    elif kind == "squeezed":
-        model = zoo_squeezed(trunc_dim=trunc, hbar=hbar, fd_step=fd_step)
-    elif kind == "pm_shift":
-        model = zoo_pm_shift(params.get("n", 0), trunc_dim=trunc, hbar=hbar,
-                             fd_step=fd_step)
-    elif kind == "canonical":
-        model = zoo_canonical(params["energies"], k_b=k_b, hbar=hbar,
-                              fd_step=fd_step)
-    elif kind == "time_evolution":
-        model = zoo_time_evolution(_complex_array(params["h"]),
-                                   _complex_array(params["psi0"]),
-                                   hbar=hbar, fd_step=fd_step)
-    elif kind == "explicit":
-        model = explicit_model(theta, _complex_array(params["state"]),
-                               [_complex_array(t) for t in params["tangents"]],
-                               hbar=hbar, pure=params.get("pure", True))
-    else:
-        raise ValidationError(f"unknown model kind: {kind!r}")
+    try:
+        trunc = int(spec.get("trunc_dim", TRUNC_DIM_DEFAULT))
+        if kind == "spin_coherent":
+            model = zoo_spin_coherent(float(params["s"]),
+                                      float(params["m_z"]),
+                                      hbar=hbar, fd_step=fd_step)
+        elif kind == "squeezed":
+            model = zoo_squeezed(trunc_dim=trunc, hbar=hbar, fd_step=fd_step)
+        elif kind == "pm_shift":
+            model = zoo_pm_shift(params.get("n", 0), trunc_dim=trunc,
+                                 hbar=hbar, fd_step=fd_step)
+        elif kind == "canonical":
+            model = zoo_canonical(params["energies"], k_b=k_b, hbar=hbar,
+                                  fd_step=fd_step)
+        elif kind == "time_evolution":
+            model = zoo_time_evolution(_complex_array(params["h"]),
+                                       _complex_array(params["psi0"]),
+                                       hbar=hbar, fd_step=fd_step)
+        elif kind == "explicit":
+            model = explicit_model(
+                theta, _complex_array(params["state"]),
+                [_complex_array(t) for t in params["tangents"]],
+                hbar=hbar, pure=params.get("pure", True))
+        else:
+            raise ValidationError(f"unknown model kind: {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ValidationError):
+            raise
+        raise ValidationError(f"model spec of kind {kind!r} has a missing or "
+                              f"invalid param: {exc}")
 
     if len(theta) != model.m:
         raise ValidationError(

@@ -2,16 +2,14 @@
 
 Everything downstream (tangent frames, information matrices, measurement
 constructions) goes through the helpers here, so the numerical conventions
-(eigenvector phase fixing, tolerance defaults) are centralized in this module.
+(eigenvector phase fixing, thresholds) are centralized in this module.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "TOL",
     "ValidationError",
     "NotRealGramError",
     "InternalConsistencyError",
@@ -24,6 +22,26 @@ __all__ = [
     "mixed_state",
     "Purification",
 ]
+
+
+# Numerical thresholds: fixed, no function takes a tolerance argument.
+# An RTOL is multiplied by the size of the tested quantity where it is used.
+HERMITIAN_RTOL = 1e-12       # max |A - A^dag|
+NORM_TOL = 1e-12             # |<phi|phi> - 1| and |tr rho - 1|, per dimension
+PSD_FLOOR = -1e-12           # allowed negative eigenvalue of a state
+RECONSTRUCTION_RTOL = 1e-10  # eigendecomposition residual, per dimension
+UNITARY_TOL = 1e-10          # singular-value deviation of exp(iH)
+GRAM_IMAG_RTOL = 1e-8        # Im part of a "real" Gram matrix
+REAL_COEFF_RTOL = 1e-10      # Im part of a Gram-Schmidt coefficient
+RANK_RTOL = 1e-10            # linear-dependence cutoff in Gram-Schmidt
+PHASE_RTOL = 1e-8            # eigenvector component counted for phase fixing
+LIFT_RESIDUAL_RTOL = 1e-8    # SLD reconstruction residual
+# Shared by several modules:
+FAITHFUL_MIN_EIG = 1e-10     # smallest eigenvalue of a faithful state
+SINGULAR_RTOL = 1e-12        # eigenvalue or QR pivot counted as zero
+PROB_FLOOR = 1e-12           # outcome probability counted as zero
+DERIV_FLOOR = 1e-9           # dead-outcome derivative that makes J_M unbounded
+ORACLE_SLACK = 1e-9          # round-off by which the oracle may beat a bound
 
 
 class ValidationError(ValueError):
@@ -40,60 +58,33 @@ class InternalConsistencyError(RuntimeError):
     bad user input."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerance configuration.
-
-    Defaults are shared by the whole package; individual calls may pass a
-    modified copy (see :meth:`with_`).
-    """
-
-    hermitian: float = 1e-12          # max-norm Hermiticity defect
-    unit_norm: float = 1e-12          # |<phi|phi> - 1|
-    unit_trace: float = 1e-12         # |tr rho - 1|
-    psd_floor: float = -1e-12         # allowed negative eigenvalue of a state
-    faithful_min_eig: float = 1e-10   # smallest eigenvalue of a faithful state
-    reconstruction: float = 1e-10     # relative eigendecomposition residual
-    unitary: float = 1e-10            # singular-value deviation of exp(iH)
-    gram_imag: float = 1e-8           # allowed Im part of a "real" Gram matrix
-    real_coeff: float = 1e-10         # allowed Im part of Gram-Schmidt coeffs
-    lift_residual: float = 1e-8       # tangent reconstruction from lifts/SLDs
-    rank_cutoff: float = 1e-10        # linear-dependence cutoff in Gram-Schmidt
-
-    def with_(self, **kw):
-        return replace(self, **kw)
-
-
-TOL = Tolerances()
-
-
-def as_hermitian(a, tol=TOL):
+def as_hermitian(a):
     """Validate Hermiticity of ``a`` and return the symmetrized matrix."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     defect = np.max(np.abs(a - a.conj().T))
     scale = max(1.0, np.max(np.abs(a)))
-    if defect > tol.hermitian * scale:
+    if defect > HERMITIAN_RTOL * scale:
         raise ValidationError(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}")
     return 0.5 * (a + a.conj().T)
 
 
-def _fix_phases(vecs, cutoff=1e-8):
+def _fix_phases(vecs):
     """Deterministic eigenvector gauge: first component of each column with
-    modulus above ``cutoff`` (relative to the column max) is made real
+    modulus above ``PHASE_RTOL`` (relative to the column max) is made real
     positive."""
     out = vecs.copy()
     for k in range(out.shape[1]):
         col = out[:, k]
-        idx = np.flatnonzero(np.abs(col) > cutoff * np.max(np.abs(col)))[0]
+        idx = np.flatnonzero(np.abs(col) > PHASE_RTOL * np.max(np.abs(col)))[0]
         phase = col[idx] / abs(col[idx])
         out[:, k] = col / phase
     return out
 
 
-def hermitian_eigendecomposition(a, tol=TOL):
+def hermitian_eigendecomposition(a):
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
     Returns ``(w, u)`` with eigenvalues ``w`` ascending and unitary ``u``
@@ -101,12 +92,12 @@ def hermitian_eigendecomposition(a, tol=TOL):
     the first significant component of each column is real positive, which
     makes degenerate subspaces reproducible across runs.
     """
-    a = as_hermitian(a, tol)
+    a = as_hermitian(a)
     w, u = np.linalg.eigh(a)
     u = _fix_phases(u)
-    scale = max(np.max(np.abs(w)), 1e-300)
     resid = np.linalg.norm(u @ np.diag(w) @ u.conj().T - a)
-    if resid > tol.reconstruction * max(scale, 1.0) * a.shape[0]:
+    scale = max(np.max(np.abs(w)), 1.0)
+    if resid > RECONSTRUCTION_RTOL * scale * a.shape[0]:
         raise InternalConsistencyError(
             f"eigendecomposition residual {resid:.3e} too large")
     return w, u
@@ -127,18 +118,18 @@ def _sqrtm_psd(a, inverse=False):
     return root, (u / np.sqrt(w)) @ u.conj().T
 
 
-def matrix_exponential_skew(h, scale=1.0, tol=TOL):
+def matrix_exponential_skew(h, scale=1.0):
     """Unitary ``exp(i * scale * H)`` for Hermitian ``H`` via eigendecomposition."""
-    w, u = hermitian_eigendecomposition(h, tol)
+    w, u = hermitian_eigendecomposition(h)
     ew = np.exp(1j * scale * w)
     v = (u * ew) @ u.conj().T
     sv = np.linalg.svd(v, compute_uv=False)
-    if np.max(np.abs(sv - 1.0)) > tol.unitary:
+    if np.max(np.abs(sv - 1.0)) > UNITARY_TOL:
         raise InternalConsistencyError("exp(iH) deviates from unitarity")
     return v
 
 
-def gram_schmidt_real_coefficients(vectors, tol=TOL):
+def gram_schmidt_real_coefficients(vectors):
     """Orthonormalize ``vectors`` assuming their Gram matrix is real.
 
     Returns ``(basis, coeffs, rank)`` where ``basis`` is a list of
@@ -154,7 +145,7 @@ def gram_schmidt_real_coefficients(vectors, tol=TOL):
     vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     n = len(vs)
     gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
-    if np.max(np.abs(gram.imag)) > tol.gram_imag * max(1.0, np.max(np.abs(gram))):
+    if np.max(np.abs(gram.imag)) > GRAM_IMAG_RTOL * max(1.0, np.max(np.abs(gram))):
         raise NotRealGramError(
             f"Gram matrix imaginary part {np.max(np.abs(gram.imag)):.3e} "
             "exceeds tolerance")
@@ -166,13 +157,13 @@ def gram_schmidt_real_coefficients(vectors, tol=TOL):
         resid = v.copy()
         for j, b in enumerate(basis):
             c = np.vdot(b, v)
-            if abs(c.imag) > tol.real_coeff * max(1.0, abs(c)):
+            if abs(c.imag) > REAL_COEFF_RTOL * max(1.0, abs(c)):
                 raise NotRealGramError(
                     f"non-real Gram-Schmidt coefficient {c:.3e}")
             coeffs[i, j] = c.real
             resid = resid - c.real * b
         nrm = np.linalg.norm(resid)
-        if nrm > tol.rank_cutoff * scale:
+        if nrm > RANK_RTOL * scale:
             b = resid / nrm
             coeffs[i, len(basis)] = nrm
             basis.append(b)
@@ -186,15 +177,13 @@ class QuantumState:
 
     For ``kind == "pure"`` the ``vector`` field holds a unit complex vector;
     for ``kind == "mixed"`` the ``density`` field holds a Hermitian PSD
-    trace-one matrix.  ``faithful`` marks mixed states whose smallest
-    eigenvalue clears the faithfulness threshold.
+    trace-one matrix.
     """
 
     kind: str
     dim: int
     vector: np.ndarray = None
     density: np.ndarray = None
-    faithful: bool = False
 
     @property
     def rho(self):
@@ -204,29 +193,27 @@ class QuantumState:
         return self.density
 
 
-def pure_state(vec, tol=TOL):
+def pure_state(vec):
     vec = np.asarray(vec, dtype=complex).ravel()
     nrm2 = np.vdot(vec, vec).real
-    if abs(nrm2 - 1.0) > max(tol.unit_norm, 1e-12 * len(vec)):
+    if abs(nrm2 - 1.0) > NORM_TOL * max(len(vec), 1):
         raise ValidationError(f"pure state norm^2 = {nrm2!r}, expected 1")
     return QuantumState(kind="pure", dim=len(vec), vector=vec)
 
 
-def mixed_state(rho, require_faithful=False, tol=TOL):
-    rho = as_hermitian(rho, tol)
+def mixed_state(rho, require_faithful=False):
+    rho = as_hermitian(rho)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > max(tol.unit_trace, 1e-12 * rho.shape[0]):
+    if abs(tr - 1.0) > NORM_TOL * max(rho.shape[0], 1):
         raise ValidationError(f"density matrix trace = {tr!r}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < tol.psd_floor:
+    if w[0] < PSD_FLOOR:
         raise ValidationError(f"density matrix has eigenvalue {w[0]:.3e} < 0")
-    faithful = bool(w[0] >= tol.faithful_min_eig)
-    if require_faithful and not faithful:
+    if require_faithful and not w[0] >= FAITHFUL_MIN_EIG:
         raise ValidationError(
             f"state is not faithful: min eigenvalue {w[0]:.3e} below "
-            f"threshold {tol.faithful_min_eig:.1e}")
-    return QuantumState(kind="mixed", dim=rho.shape[0], density=rho,
-                        faithful=faithful)
+            f"threshold {FAITHFUL_MIN_EIG:.1e}")
+    return QuantumState(kind="mixed", dim=rho.shape[0], density=rho)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import InternalConsistencyError, ValidationError
+from .operators import (DERIV_FLOOR, ORACLE_SLACK, PROB_FLOOR,
+                        InternalConsistencyError, ValidationError)
 from .models import _embed_frame, frame_at
 from .geometry import info_geometry
 from .bounds import WeightMatrix, sld_bound
 
 __all__ = ["SearchConfig", "OracleResult", "oracle_min_weighted_variance",
            "verify_bound"]
+
+INIT_ANGLE = 0.3        # scale of the first Givens rotation angles
+ANGLE_DECAY = 0.995     # per-step shrink factor of that scale
 
 
 @dataclass(frozen=True)
@@ -25,8 +29,12 @@ class SearchConfig:
     local_steps: int = 2000
     seed: int = 2024
     dilate_dim: int = None          # default 2m+1
-    init_angle: float = 0.3
-    angle_decay: float = 0.995
+
+    def __post_init__(self):
+        if self.restarts < 1 or self.local_steps < 0:
+            raise ValidationError(
+                "need restarts >= 1 and local_steps >= 0, got "
+                f"restarts={self.restarts}, local_steps={self.local_steps}")
 
     def resolved_dim(self, m):
         return self.dilate_dim if self.dilate_dim is not None else 2 * m + 1
@@ -36,7 +44,6 @@ class SearchConfig:
 class OracleResult:
     best_value: float
     best_basis: np.ndarray
-    improvement_trace: list
     singular_fraction: float
 
 
@@ -47,8 +54,8 @@ def _risk_of_basis(basis, phi_e, l_e, g):
     damp = basis.conj().T @ l_e           # <b_k|l_i>
     p = np.abs(amp) ** 2
     dp = (damp * amp[:, None].conj()).real.T    # dp[i,k] = Re <l_i|b_k><b_k|phi>
-    live = p > 1e-12
-    if np.any(~live & (np.max(np.abs(dp), axis=0) > 1e-9)):
+    live = p > PROB_FLOOR
+    if np.any(~live & (np.max(np.abs(dp), axis=0) > DERIV_FLOOR)):
         return np.inf
     sel = dp[:, live] / np.sqrt(p[live])
     jm = sel @ sel.T
@@ -82,7 +89,6 @@ def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     best_value = np.inf
     best_basis = None
-    trace = []
     n_singular = 0
     starts = [("rng", s) for s in seeds]
     if warm_start is not None:
@@ -96,7 +102,7 @@ def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
         value = _risk_of_basis(basis, phi_e, l_e, g)
         if not np.isfinite(value):
             n_singular += 1
-        angle = cfg.init_angle
+        angle = INIT_ANGLE
         for _ in range(cfg.local_steps):
             i, j = rng.choice(dim, size=2, replace=False)
             a = angle * rng.standard_normal()
@@ -109,18 +115,16 @@ def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
             cand_value = _risk_of_basis(cand, phi_e, l_e, g)
             if cand_value < value:
                 basis, value = cand, cand_value
-            angle *= cfg.angle_decay
+            angle *= ANGLE_DECAY
         if value < best_value:
             best_value, best_basis = value, basis
-            trace.append((tag, float(value)))
 
     if not np.isfinite(best_value):
         raise ValidationError(
             "all restarts singular: only the interval "
             "[Tr G J^{S-1}, inf) is available")
     return OracleResult(best_value=float(best_value), best_basis=best_basis,
-                        improvement_trace=trace,
-                        singular_fraction=n_singular / max(len(starts), 1))
+                        singular_fraction=n_singular / len(starts))
 
 
 def verify_bound(model, theta, g, closed_form, cfg=SearchConfig(),
@@ -133,7 +137,7 @@ def verify_bound(model, theta, g, closed_form, cfg=SearchConfig(),
     res = oracle_min_weighted_variance(model, theta, g, cfg,
                                        warm_start=warm_start)
     gap = res.best_value - closed_form.cr_value
-    if gap < -1e-9 * max(1.0, abs(closed_form.cr_value)):
+    if gap < -ORACLE_SLACK * max(1.0, abs(closed_form.cr_value)):
         raise InternalConsistencyError(
             f"oracle ({res.best_value!r}) undercuts the closed-form bound "
             f"({closed_form.cr_value!r}): floor violation")
@@ -145,6 +149,6 @@ def verify_bound(model, theta, g, closed_form, cfg=SearchConfig(),
         "gap_above": float(gap),
         "relative_gap": float(gap / max(abs(closed_form.cr_value), 1e-300)),
         "sld_floor": floor,
-        "floor_violation": bool(res.best_value < floor - 1e-9),
+        "floor_violation": bool(res.best_value < floor - ORACLE_SLACK),
         "result": res,
     }

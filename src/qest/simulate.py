@@ -18,17 +18,24 @@ from .measurements import (
 __all__ = ["QmleConfig", "QmleResult", "simulate_gqmle",
            "TestPowerReport", "time_energy_report"]
 
+INIT_OFFSET = (0.06, -0.05)   # first estimate: theta_true + this offset
+NEWTON_ITERS = 4              # damped Newton steps per likelihood refit
+GRID_POINTS = 7               # per-axis grid of the first refit's seed search
+
 
 @dataclass(frozen=True)
 class QmleConfig:
     n_samples: int = 2000
     trials: int = 500
     seed: int = 2024
-    theta_init: tuple = None      # default: theta_true + a fixed offset
     reopt_every: int = 1          # re-optimize the measurement every k steps
     fixed_measurement: bool = False   # baseline: optimal-at-theta_true, fixed
-    newton_iters: int = 4
-    grid_points: int = 7
+
+    def __post_init__(self):
+        for name in ("n_samples", "trials", "reopt_every"):
+            if getattr(self, name) < 1:
+                raise ValidationError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -65,7 +72,7 @@ def _log_likelihood_factory(model, element_stack):
     return loglik
 
 
-def _maximize(loglik, theta0, radius, newton_iters, grid_points):
+def _maximize(loglik, theta0, radius, grid_points):
     """Trust-region maximization: coarse grid seed, then damped Newton with
     central finite differences, steps clipped to the region."""
     theta0 = np.asarray(theta0, dtype=float)
@@ -82,7 +89,7 @@ def _maximize(loglik, theta0, radius, newton_iters, grid_points):
                 best, best_val = cand, val
 
     h = 1e-4
-    for _ in range(newton_iters):
+    for _ in range(NEWTON_ITERS):
         grad = np.zeros(m)
         hess = np.zeros((m, m))
         f0 = loglik(best)
@@ -140,9 +147,7 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     bound_true = cr_two_param(geom_true, weight)
     lam_min = float(np.linalg.eigvalsh(geom_true.JS)[0])
 
-    theta_init = (np.asarray(cfg.theta_init, dtype=float)
-                  if cfg.theta_init is not None
-                  else theta_true + np.array([0.06, -0.05]))
+    theta_init = theta_true + np.array(INIT_OFFSET)
     phi_true = model.state(theta_true).vector
     init_elements = _measurement_elements(model, theta_init, weight)
     true_elements = (_measurement_elements(model, theta_true, weight)
@@ -169,8 +174,7 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
                 loglik = _log_likelihood_factory(model, record)
                 radius = min(3.0 / np.sqrt(i * lam_min), 0.7)
                 theta_hat = _maximize(loglik, theta_hat, radius,
-                                      cfg.newton_iters,
-                                      cfg.grid_points if i <= cfg.reopt_every
+                                      GRID_POINTS if i <= cfg.reopt_every
                                       else 1)
                 if not cfg.fixed_measurement and i < cfg.n_samples:
                     elements = _measurement_elements(model, theta_hat, weight)

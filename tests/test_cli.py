@@ -105,6 +105,19 @@ class TestTimeEnergy:
         assert abs(report["w"] - np.sin(1.3 * 0.3 / 2) ** 2) <= 1e-12
 
 
+class TestWeightFile:
+    def test_whitespace_matrix_matches_json(self, spin_spec, tmp_path,
+                                            capsys):
+        values = []
+        for name, text in [("w.json", "[[1.0, 0.5], [0.5, 4.0]]"),
+                           ("w.txt", "1.0 0.5\n0.5 4.0\n")]:
+            (tmp_path / name).write_text(text)
+            assert run(["bound", "--model", spin_spec, "--format", "json",
+                        "--weight", str(tmp_path / name)]) == 0
+            values.append(json.loads(capsys.readouterr().out)["cr_value"])
+        assert values[0] == values[1]
+
+
 class TestErrors:
     def test_missing_model_file(self, capsys):
         assert run(["bound", "--model", "/nonexistent.json"]) == 2
@@ -124,6 +137,53 @@ class TestErrors:
         bad.write_text('{"kind": "spin_coherent",,}')
         assert run(["geometry", "--model", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    # (subcommand, spec changes, weight file text, extra argv, field named
+    # in the message): each input is refused where it enters the program.
+    BAD_INPUTS = {
+        "ragged_weight": ("bound", {}, "[[1, 2], [3]]", [], "weight"),
+        "non_numeric_weight": ("bound", {}, '[[1, 0], [0, "x"]]', [],
+                               "weight"),
+        "nan_weight": ("bound", {}, "[[1, 0], [0, NaN]]", [], "weight"),
+        "non_numeric_whitespace_weight": ("bound", {}, "1 0\n0 x\n", [],
+                                          "weight"),
+        "missing_param": ("geometry", {"params": {"s": 0.5}}, None, [],
+                          "m_z"),
+        "non_numeric_theta": ("geometry", {"theta": ["a", 1]}, None, [],
+                              "theta"),
+        "non_numeric_theta_flag": ("geometry", {}, None, ["--theta", "a,b"],
+                                   "theta"),
+        "nan_theta_flag": ("geometry", {}, None, ["--theta=nan,1"],
+                           "theta"),
+        "zero_fd_step": ("geometry", {"fd_step": 0}, None, [], "fd_step"),
+        "negative_hbar": ("geometry", {"hbar": -1.0}, None, [], "hbar"),
+        "infinite_k_b": ("geometry", {"k_b": float("inf")}, None, [], "k_b"),
+        "zero_trials": ("simulate-qmle", {}, None, ["--trials", "0"],
+                        "trials"),
+        "zero_reopt": ("simulate-qmle", {}, None, ["--reopt-every", "0"],
+                       "reopt_every"),
+        "zero_samples": ("simulate-qmle", {}, None, ["--samples", "0"],
+                         "n_samples"),
+        "zero_restarts": ("oracle", {}, None, ["--restarts", "0"],
+                          "restarts=0"),
+        "negative_steps": ("oracle", {}, None, ["--steps", "-1"],
+                           "local_steps=-1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_2(self, case, tmp_path, capsys):
+        cmd, changes, weight, extra, field = self.BAD_INPUTS[case]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPIN_SPEC, **changes}))
+        argv = [cmd, "--model", str(spec)] + extra
+        if weight is not None:
+            (tmp_path / "w.json").write_text(weight)
+            argv += ["--weight", str(tmp_path / "w.json")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestSeeding:
