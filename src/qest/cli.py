@@ -94,8 +94,7 @@ def _load_model(args):
             f"column {exc.colno}: {exc.msg}")
     if args.theta and isinstance(spec, dict):
         spec = dict(spec, theta=args.theta.split(","))
-    model, theta = load_model_spec(spec)
-    return model, theta, spec
+    return load_model_spec(spec)
 
 
 def _load_weight(spec_str, geom):
@@ -135,7 +134,7 @@ def _resolve_seed(args):
 # --------------------------------------------------------------- subcommands
 
 def _cmd_geometry(args):
-    model, theta, _ = _load_model(args)
+    model, theta = _load_model(args)
     geom = info_geometry(frame_at(model, theta))
     det_ok = coherency_det_check(geom)
     report = {
@@ -168,7 +167,7 @@ def _cmd_geometry(args):
 
 
 def _cmd_bound(args):
-    model, theta, _ = _load_model(args)
+    model, theta = _load_model(args)
     geom = info_geometry(frame_at(model, theta))
     weight = _load_weight(args.weight, geom)
     res = attainable_bound(geom, weight, model.pure)
@@ -213,7 +212,7 @@ def _cmd_boundary(args):
 
 
 def _cmd_measurement(args):
-    model, theta, _ = _load_model(args)
+    model, theta = _load_model(args)
     frame = frame_at(model, theta)
     geom = info_geometry(frame)
     weight = _load_weight(args.weight, geom)
@@ -256,7 +255,7 @@ def _cmd_measurement(args):
 
 
 def _cmd_oracle(args):
-    model, theta, _ = _load_model(args)
+    model, theta = _load_model(args)
     geom = info_geometry(frame_at(model, theta))
     weight = _load_weight(args.weight, geom)
     seed = _resolve_seed(args)
@@ -291,7 +290,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_simulate_qmle(args):
-    model, theta, _ = _load_model(args)
+    model, theta = _load_model(args)
     geom = info_geometry(frame_at(model, theta))
     weight = _load_weight(args.weight, geom)
     cfg = QmleConfig(n_samples=args.samples, trials=args.trials,
@@ -332,17 +331,13 @@ def _cmd_simulate_qmle(args):
 
 
 def _cmd_time_energy(args):
-    model, theta, spec = _load_model(args)
-    if spec.get("kind") != "time_evolution":
+    model, theta = _load_model(args)
+    if model.kind != "time_evolution":
         raise ValidationError(
             "time-energy requires a model spec of kind 'time_evolution'")
-    params = spec.get("params", {})
-    h = np.array([[complex(re, im) for re, im in row]
-                  for row in params["h"]])
-    psi0 = np.array([complex(re, im) for re, im in params["psi0"]])
-    t0 = args.t0 if args.t0 is not None else (float(theta[0]) if len(theta)
-                                              else 0.0)
-    rep = time_energy_report(h, psi0, t0, args.dt, args.n, hbar=model.hbar)
+    t0 = args.t0 if args.t0 is not None else float(theta[0])
+    rep = time_energy_report(model.meta["h"], model.meta["psi0"], t0,
+                             args.dt, args.n, hbar=model.hbar)
     report = {
         "t0": float(t0), "dt": rep.dt, "n": rep.n,
         "w": rep.w,

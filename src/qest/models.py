@@ -405,8 +405,8 @@ def zoo_canonical(energies, k_b=1.0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     """Unitary time evolution phi(t) = exp(-i H t / hbar) psi0, 1 parameter."""
     h = np.asarray(h, dtype=complex)
-    psi0 = np.asarray(psi0, dtype=complex).ravel()
-    psi0 = psi0 / np.linalg.norm(psi0)
+    given = np.asarray(psi0, dtype=complex).ravel()
+    psi0 = given / np.linalg.norm(given)
     w, u = hermitian_eigendecomposition(h)
     coeff = u.conj().T @ psi0
 
@@ -415,18 +415,18 @@ def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 
     mean = np.vdot(psi0, h @ psi0).real
     var = (np.vdot(psi0, h @ h @ psi0).real - mean * mean)
-    meta = {"h": h, "var_h": var, "js": 4.0 * var / hbar**2}
+    meta = {"h": h, "psi0": given, "var_h": var, "js": 4.0 * var / hbar**2}
     return ParametricModel(kind="time_evolution", dim=len(psi0), m=1,
                            state_at=state_at, hbar=hbar, fd_step=fd_step,
                            meta=meta)
 
 
-def explicit_model(theta, state, tangent_vectors, hbar=1.0, pure=True):
-    """Single-point model: state and tangents supplied directly at ``theta``.
+def explicit_model(state, tangent_vectors, hbar=1.0, pure=True):
+    """Single-point model: state and tangents supplied directly.
 
-    Only valid for evaluation exactly at ``theta`` (the supplied tangents are
-    returned at every point); used by the CLI "explicit" model-spec kind and
-    by tests.
+    Returns the same state and tangents at every theta, so it is only
+    meaningful at the one point they were taken at; used by the CLI
+    "explicit" model-spec kind and by tests.
     """
     tvs = [np.asarray(t, dtype=complex) for t in tangent_vectors]
     st = (pure_state(state) if pure
@@ -502,7 +502,7 @@ def load_model_spec(spec):
                                        hbar=hbar, fd_step=fd_step)
         elif kind == "explicit":
             model = explicit_model(
-                theta, _complex_array(params["state"]),
+                _complex_array(params["state"]),
                 [_complex_array(t) for t in params["tangents"]],
                 hbar=hbar, pure=params.get("pure", True))
         else:

@@ -47,22 +47,25 @@ class OracleResult:
     singular_fraction: float
 
 
-def _risk_of_basis(basis, phi_e, l_e, g):
-    """Optimally post-processed risk Tr G J_M^{-1} of the rank-one PVM given
-    by the columns of ``basis``; returns inf when J_M is singular."""
-    amp = basis.conj().T @ phi_e          # <b_k|phi>
-    damp = basis.conj().T @ l_e           # <b_k|l_i>
-    p = np.abs(amp) ** 2
-    dp = (damp * amp[:, None].conj()).real.T    # dp[i,k] = Re <l_i|b_k><b_k|phi>
+def _risks(amp, damp, g):
+    """Optimally post-processed risks Tr G J_M^{-1} of a stack of rank-one
+    PVMs, given by their amplitudes ``amp[r, k] = <b_k|phi>`` and
+    ``damp[r, k, i] = <b_k|l_i>``; inf where J_M is singular or an outcome
+    of zero probability carries information."""
+    p = amp.real ** 2 + amp.imag ** 2
+    # dp[r, k, i] = Re <l_i|b_k><b_k|phi>
+    dp = (damp * amp.conj()[..., None]).real
     live = p > PROB_FLOOR
-    if np.any(~live & (np.max(np.abs(dp), axis=0) > DERIV_FLOOR)):
-        return np.inf
-    sel = dp[:, live] / np.sqrt(p[live])
-    jm = sel @ sel.T
+    dead = ((np.abs(dp) > DERIV_FLOOR) & ~live[..., None]).any(axis=(1, 2))
+    sel = dp / np.sqrt(np.where(live, p, np.inf))[..., None]
+    jm = sel.transpose(0, 2, 1) @ sel
     sign, logdet = np.linalg.slogdet(jm)
-    if sign <= 0 or logdet < -60:
-        return np.inf
-    return float(np.trace(g @ np.linalg.inv(jm)))
+    bad = dead | (sign <= 0) | (logdet < -60)
+    if bad.any():
+        jm[bad] = np.eye(jm.shape[-1])
+    risk = np.einsum("ij,rji->r", g, np.linalg.inv(jm))
+    risk[bad] = np.inf
+    return risk
 
 
 def _random_unitary(rng, n):
@@ -77,53 +80,71 @@ def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
 
     Each restart draws a Haar-ish random orthonormal basis and hill-climbs
     over random two-column unitary (Givens-like) perturbations, accepting
-    improvements of the post-processed risk.  Deterministic for fixed
-    (seed, cfg, model, theta, G).  ``warm_start`` (a dilate_dim x dilate_dim
-    unitary) is injected as an extra restart.
+    strict improvements of the post-processed risk.  All restarts step
+    together: one proposal each per step, scored as one batch.  Restart r
+    draws from its own stream ``SeedSequence(seed).spawn(restarts)[r]``, so
+    its trajectory does not depend on how many restarts run.  Deterministic
+    for fixed (seed, cfg, model, theta, G).  ``warm_start`` (a dilate_dim x
+    dilate_dim unitary) is injected as an extra, first restart.
     """
     frame = frame_at(model, theta)
     g = np.asarray(g, dtype=float)
     dim = cfg.resolved_dim(frame.m)
     _, phi_e, l_e = _embed_frame(frame, dim)
+    vecs = np.column_stack([phi_e, l_e])
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    best_value = np.inf
-    best_basis = None
-    n_singular = 0
-    starts = [("rng", s) for s in seeds]
+    starts = [(s, None)
+              for s in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
     if warm_start is not None:
         if warm_start.shape != (dim, dim):
             raise ValidationError("warm start has wrong dimension")
-        starts.insert(0, ("warm", None))
+        starts.insert(0, (0, warm_start))
+    steps = cfg.local_steps
+    bases, draws = [], []
+    for seed, start in starts:
+        rng = np.random.default_rng(seed)
+        bases.append(_random_unitary(rng, dim) if start is None
+                     else start.astype(complex))
+        draws.append((rng.integers(dim, size=steps),
+                      rng.integers(1, dim, size=steps),
+                      rng.standard_normal(steps),
+                      rng.uniform(0.0, 2.0 * np.pi, size=steps)))
+    # (step, restart) layout: one contiguous slice per step
+    cols_i, offsets, normals, phases = (np.array(x).T for x in zip(*draws))
+    cols_j = (cols_i + offsets) % dim
+    angles = INIT_ANGLE * ANGLE_DECAY ** np.arange(steps)[:, None] * normals
+    cosines = np.cos(angles)[..., None]
+    shifts = (np.sin(angles) * np.exp(1j * phases))[..., None]
 
-    for tag, seed in starts:
-        rng = np.random.default_rng(seed if seed is not None else 0)
-        basis = warm_start.copy() if tag == "warm" else _random_unitary(rng, dim)
-        value = _risk_of_basis(basis, phi_e, l_e, g)
-        if not np.isfinite(value):
-            n_singular += 1
-        angle = INIT_ANGLE
-        for _ in range(cfg.local_steps):
-            i, j = rng.choice(dim, size=2, replace=False)
-            a = angle * rng.standard_normal()
-            ph = rng.uniform(0.0, 2.0 * np.pi)
-            c, s = np.cos(a), np.sin(a)
-            rot = np.array([[c, -s * np.exp(1j * ph)],
-                            [s * np.exp(-1j * ph), c]])
-            cand = basis.copy()
-            cand[:, [i, j]] = cand[:, [i, j]] @ rot
-            cand_value = _risk_of_basis(cand, phi_e, l_e, g)
-            if cand_value < value:
-                basis, value = cand, cand_value
-            angle *= ANGLE_DECAY
-        if value < best_value:
-            best_value, best_basis = value, basis
+    # Row k of held[r] is (<b_k|, <b_k|phi_e>, <b_k|L_e>) for basis B[r].
+    # Rotating columns (i, j) of B by [[c, -s], [s*, c]] maps rows (i, j)
+    # of held[r] by the adjoint [[c, s], [-s*, c]]; no other row changes.
+    adj = np.array(bases).conj().transpose(0, 2, 1)
+    held = np.concatenate([adj, adj @ vecs], axis=2)
+    value = _risks(held[..., dim], held[..., dim + 1:], g)
+    n_singular = int(np.sum(~np.isfinite(value)))
+    rows = np.arange(len(starts))
+    for t in range(steps):
+        i, j, c, s = cols_i[t], cols_j[t], cosines[t], shifts[t]
+        h_i, h_j = held[rows, i], held[rows, j]
+        cand = held.copy()
+        cand[rows, i] = c * h_i + s * h_j
+        cand[rows, j] = c * h_j - s.conj() * h_i
+        cand_value = _risks(cand[..., dim], cand[..., dim + 1:], g)
+        better = cand_value < value
+        held = np.where(better[:, None, None], cand, held)
+        value = np.where(better, cand_value, value)
 
-    if not np.isfinite(best_value):
+    # report the risk of the returned basis, not of the running amplitudes
+    amps = held[..., :dim] @ vecs
+    value = _risks(amps[..., 0], amps[..., 1:], g)
+    best = int(np.argmin(value))
+    if not np.isfinite(value[best]):
         raise ValidationError(
             "all restarts singular: only the interval "
             "[Tr G J^{S-1}, inf) is available")
-    return OracleResult(best_value=float(best_value), best_basis=best_basis,
+    return OracleResult(best_value=float(value[best]),
+                        best_basis=held[best, :, :dim].conj().T,
                         singular_fraction=n_singular / len(starts))
 
 

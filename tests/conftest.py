@@ -36,7 +36,7 @@ def synthetic_lift_model(jt_block, dim=None):
     lifts = [np.concatenate([[0.0], b[:, i], np.zeros(d - m - 1)])
              for i in range(m)]
     theta = np.zeros(m)
-    return explicit_model(theta, phi, [l / 2.0 for l in lifts]), theta
+    return explicit_model(phi, [l / 2.0 for l in lifts]), theta
 
 
 def rotation_qubit_model(gen1, gen2, rho0):

@@ -274,7 +274,7 @@ class TestExplicitAndSpec:
     def test_explicit_model_round_trip(self):
         phi = np.array([1.0, 0.0, 0.0], dtype=complex)
         tangent = np.array([0.0, 0.5, 0.0], dtype=complex)
-        model = explicit_model(np.array([0.0]), phi, [tangent])
+        model = explicit_model(phi, [tangent])
         frame = frame_at(model, np.array([0.0]))
         assert np.max(np.abs(frame.lifts[0] - 2.0 * tangent)) <= 1e-10
 

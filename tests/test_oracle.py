@@ -1,15 +1,47 @@
 import numpy as np
 import pytest
 
-from conftest import great_circle_model
+from conftest import great_circle_model, synthetic_lift_model
 from qest.bounds import WeightMatrix, cr_two_param, sld_bound
 from qest.geometry import info_geometry
 from qest.measurements import construct_pvm_from_vectors, optimal_vectors_two_param
-from qest.models import ParametricModel, frame_at, zoo_spin_coherent
-from qest.operators import ValidationError, pure_state
-from qest.oracle import SearchConfig, oracle_min_weighted_variance, verify_bound
+from qest.models import (ParametricModel, _embed_frame, frame_at,
+                         zoo_spin_coherent)
+from qest.operators import DERIV_FLOOR, PROB_FLOOR, ValidationError, pure_state
+from qest.oracle import (SearchConfig, _random_unitary, _risks,
+                         oracle_min_weighted_variance, verify_bound)
 
 FAST = SearchConfig(restarts=8, local_steps=600, seed=11)
+
+
+def _risk_of_basis(basis, phi_e, l_e, g):
+    """Reference: the scalar risk Tr G J_M^{-1} of one rank-one PVM (the
+    columns of ``basis``), evaluated outcome by outcome; inf when singular."""
+    amp = basis.conj().T @ phi_e          # <b_k|phi>
+    damp = basis.conj().T @ l_e           # <b_k|l_i>
+    p = np.abs(amp) ** 2
+    dp = (damp * amp[:, None].conj()).real.T    # dp[i,k] = Re <l_i|b_k><b_k|phi>
+    live = p > PROB_FLOOR
+    if np.any(~live & (np.max(np.abs(dp), axis=0) > DERIV_FLOOR)):
+        return np.inf
+    sel = dp[:, live] / np.sqrt(p[live])
+    jm = sel @ sel.T
+    sign, logdet = np.linalg.slogdet(jm)
+    if sign <= 0 or logdet < -60:
+        return np.inf
+    return float(np.trace(g @ np.linalg.inv(jm)))
+
+
+def _risks_of_bases(bases, phi_e, l_e, g):
+    amps = bases.conj().transpose(0, 2, 1) @ np.column_stack([phi_e, l_e])
+    return _risks(amps[..., 0], amps[..., 1:], g)
+
+
+def _embedded(model, theta, dim=None):
+    frame = frame_at(model, theta)
+    dim = dim if dim is not None else SearchConfig().resolved_dim(frame.m)
+    _, phi_e, l_e = _embed_frame(frame, dim)
+    return phi_e, l_e
 
 
 def real_sphere_model():
@@ -79,6 +111,98 @@ class TestOracleSearch:
         with pytest.raises(ValidationError):
             oracle_min_weighted_variance(model, np.array([0.8]),
                                          np.eye(1), bad)
+
+
+class TestRisks:
+    """The batched risk against the scalar reference."""
+
+    @pytest.mark.parametrize("d,m", [(3, 1), (4, 1), (5, 2), (6, 2),
+                                     (7, 3), (8, 3), (9, 4), (9, 2)])
+    def test_matches_scalar_reference(self, d, m):
+        rng = np.random.default_rng(100 * d + m)
+        phi_e = np.zeros(d, dtype=complex)
+        phi_e[0] = 1.0
+        l_e = np.zeros((d, m), dtype=complex)
+        l_e[1:] = rng.standard_normal((d - 1, m)) \
+            + 1j * rng.standard_normal((d - 1, m))
+        a = rng.standard_normal((m, m))
+        g = a @ a.T + 0.1 * np.eye(m)           # non-diagonal weight
+        bases = np.array([_random_unitary(rng, d) for _ in range(3)])
+        got = _risks_of_bases(bases, phi_e, l_e, g)
+        want = [_risk_of_basis(b, phi_e, l_e, g) for b in bases]
+        assert np.all(np.isfinite(want))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_singular_and_dead_outcomes_are_inf(self):
+        rng = np.random.default_rng(7)
+        d, m = 5, 2
+        phi_e = np.zeros(d, dtype=complex)
+        phi_e[0] = 1.0
+        l_e = np.zeros((d, m), dtype=complex)
+        l_e[1:] = rng.standard_normal((d - 1, m)) \
+            + 1j * rng.standard_normal((d - 1, m))
+        g = np.array([[2.0, 0.3], [0.3, 1.0]])
+        # the standard basis: only outcome 0 is live and it carries no
+        # information (l is orthogonal to phi), so J_M = 0
+        singular = np.eye(d, dtype=complex)
+        # first column almost orthogonal to phi: p_0 < PROB_FLOOR while
+        # dp_0 > DERIV_FLOOR
+        eps = 1e-7
+        col = np.zeros(d, dtype=complex)
+        col[0], col[1] = eps, np.sqrt(1 - eps ** 2)
+        dead, _ = np.linalg.qr(np.column_stack(
+            [col, rng.standard_normal((d, d - 1))]).astype(complex))
+        dead[:, 0] = col
+        amp = dead.conj().T @ phi_e
+        dp = (dead.conj().T @ l_e * amp[:, None].conj()).real
+        assert abs(amp[0]) ** 2 <= PROB_FLOOR
+        assert np.max(np.abs(dp[0])) > DERIV_FLOOR
+        live = _random_unitary(rng, d)
+        bases = np.array([live, singular, dead])
+        got = _risks_of_bases(bases, phi_e, l_e, g)
+        want = [_risk_of_basis(b, phi_e, l_e, g) for b in bases]
+        assert want[1] == np.inf and want[2] == np.inf
+        assert got[1] == np.inf and got[2] == np.inf
+        assert np.isclose(got[0], want[0], rtol=1e-12, atol=0.0)
+
+
+class TestBatchedSearch:
+    CASES = [
+        (zoo_spin_coherent(0.5, 0.5), np.array([1.0, 0.4]), "js"),
+        (zoo_spin_coherent(1.5, 0.5), np.array([0.9, 2.0]), "js"),
+        (real_sphere_model(), np.array([0.7, 0.4]), "identity"),
+        (great_circle_model(), np.array([0.8]), "identity"),
+        (*synthetic_lift_model(np.array([[0.0, -0.5, 0.2], [0.5, 0.0, -0.3],
+                                         [-0.2, 0.3, 0.0]])), "identity"),
+    ]
+
+    @staticmethod
+    def _weight(model, theta, kind):
+        if kind == "js":
+            return info_geometry(frame_at(model, theta)).JS.copy()
+        return np.eye(model.m)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_reports_the_risk_of_its_unitary_basis(self, case):
+        model, theta, kind = self.CASES[case]
+        g = self._weight(model, theta, kind)
+        cfg = SearchConfig(restarts=4, local_steps=300, seed=3)
+        res = oracle_min_weighted_variance(model, theta, g, cfg)
+        b = res.best_basis
+        assert np.max(np.abs(b.conj().T @ b - np.eye(len(b)))) <= 1e-10
+        phi_e, l_e = _embedded(model, theta, len(b))
+        ref = _risk_of_basis(b, phi_e, l_e, g)
+        assert abs(res.best_value - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_more_restarts_never_worse(self, case):
+        model, theta, kind = self.CASES[case]
+        g = self._weight(model, theta, kind)
+        values = [oracle_min_weighted_variance(
+            model, theta, g,
+            SearchConfig(restarts=r, local_steps=200, seed=19)).best_value
+            for r in (1, 2, 4, 8)]
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 class TestWarmStart:
