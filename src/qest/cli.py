@@ -336,8 +336,8 @@ def _cmd_time_energy(args):
         raise ValidationError(
             "time-energy requires a model spec of kind 'time_evolution'")
     t0 = args.t0 if args.t0 is not None else float(theta[0])
-    rep = time_energy_report(model.meta["h"], model.meta["psi0"], t0,
-                             args.dt, args.n, hbar=model.hbar)
+    rep = time_energy_report(model.meta["h"], model.meta["psi0"], args.dt,
+                             args.n, hbar=model.hbar)
     report = {
         "t0": float(t0), "dt": rep.dt, "n": rep.n,
         "w": rep.w,
@@ -442,7 +442,7 @@ def _selftest_checks():
 
     # time-energy equality
     hmat = 0.5 * 1.3 * np.array([[0.0, 1.0], [1.0, 0.0]])
-    rep = time_energy_report(hmat, np.array([1.0, 0.0]), 0.0, 0.05, 100)
+    rep = time_energy_report(hmat, np.array([1.0, 0.0]), 0.05, 100)
     ok = abs(rep.j_mms - rep.js) < 1e-8
     yield "time-energy J_Mms = J^S", ok, \
         f"dev {abs(rep.j_mms - rep.js):.2e}"

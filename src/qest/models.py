@@ -12,8 +12,8 @@ from .operators import (
     LIFT_RESIDUAL_RTOL,
     SINGULAR_RTOL,
     ValidationError,
+    _check_unitary,
     hermitian_eigendecomposition,
-    matrix_exponential_skew,
     mixed_state,
     pure_state,
 )
@@ -215,10 +215,9 @@ def frame_at(model, theta):
 # ---------------------------------------------------------------------------
 
 def _spin_matrices(s, hbar):
-    """Spin matrices S_x, S_y, S_z for spin s, basis ordered m = s..-s."""
+    """Spin matrices S_x, S_y for spin s, basis ordered m = s..-s."""
     dim = int(round(2 * s)) + 1
     mvals = s - np.arange(dim)
-    sz = hbar * np.diag(mvals)
     sp = np.zeros((dim, dim), dtype=complex)  # raising operator
     for k in range(1, dim):
         m = mvals[k]
@@ -226,7 +225,7 @@ def _spin_matrices(s, hbar):
     sm = sp.conj().T
     sx = 0.5 * (sp + sm)
     sy = -0.5j * (sp - sm)
-    return sx, sy, sz
+    return sx, sy
 
 
 def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
@@ -234,24 +233,53 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 
     phi(theta) = exp[i theta^1 (sin(theta^2) S_x - cos(theta^2) S_y)] |s, m_z>.
 
+    The generator is S_x turned about z: sin(theta^2) S_x - cos(theta^2) S_y
+    = V S_x V^dag with V = exp(-i (theta^2 - pi/2) m) and m = S_z / hbar
+    (dimensionless).  So S_x is diagonalized and checked once, here, and a
+    state costs two d x d matrix-vector products.
+
     Closed forms (attached in ``meta``):
     J^S = 2 hbar^2 (s^2 + s - m_z^2) diag(1, sin^2 theta^1),
     J~_{12} = 2 m_z hbar^2 sin theta^1,  beta = m_z / (s^2 + s - m_z^2).
+    ``meta["canonicalize"](theta, ref)`` maps theta into the chart of ``ref``.
     """
     if (2 * s) % 1 != 0 or s <= 0:
         raise ValidationError(f"s must be a positive half-integer, got {s}")
     if abs(m_z) > s or (s - m_z) % 1 != 0:
         raise ValidationError(f"invalid m_z={m_z} for s={s}")
     dim = int(round(2 * s)) + 1
-    sx, sy, _ = _spin_matrices(s, hbar)
-    idx = int(round(s - m_z))
+    mvals = s - np.arange(dim)
+    sx, _ = _spin_matrices(s, hbar)
+    w, u = hermitian_eigendecomposition(sx)
+    _check_unitary(u, "S_x eigenbasis")
+    u_adj = u.conj().T
     phi0 = np.zeros(dim, dtype=complex)
-    phi0[idx] = 1.0
+    phi0[int(round(s - m_z))] = 1.0
 
     def state_at(theta):
-        gen = np.sin(theta[1]) * sx - np.cos(theta[1]) * sy
-        u = matrix_exponential_skew(gen, scale=theta[0])
-        return pure_state(u @ phi0)
+        v = np.exp(-1j * (theta[1] - 0.5 * np.pi) * mvals)
+        c = u_adj @ (v.conj() * phi0)
+        return pure_state(v * (u @ (np.exp(1j * theta[0] * w) * c)))
+
+    # theta^1 -> theta^1 + 2 pi / hbar multiplies the state by (-1)^{2s}, and
+    # (theta^1, theta^2) -> (-theta^1, theta^2 + pi) leaves it unchanged, so
+    # every cell [k, k + 1] pi / hbar of theta^1 holds one alias of each ray.
+    half = np.pi / hbar
+
+    def canonicalize(theta, ref):
+        """The alias of ``theta`` with theta^1 in the cell of ``ref`` (that
+        is [0, pi / hbar] when ref^1 is) and theta^2 in ref^2 + (-pi, pi]."""
+        t1 = theta[0] - 2 * half * np.floor(theta[0] / (2 * half))
+        t2 = theta[1]
+        if t1 > half:
+            t1, t2 = 2 * half - t1, t2 + np.pi
+        k = np.floor(ref[0] / half)
+        if k % 2:
+            t1, t2 = (k + 1) * half - t1, t2 + np.pi
+        else:
+            t1 = t1 + k * half
+        t2 = t2 - 2 * np.pi * np.ceil((t2 - ref[1] - np.pi) / (2 * np.pi))
+        return np.array([t1, t2])
 
     c = s * s + s - m_z * m_z
     meta = {
@@ -259,6 +287,7 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
         "js": lambda th: 2 * hbar**2 * c * np.diag([1.0, np.sin(th[0])**2]),
         "jtilde_12": lambda th: 2 * m_z * hbar**2 * np.sin(th[0]),
         "beta": m_z / c,
+        "canonicalize": canonicalize,
     }
     return ParametricModel(kind="spin_coherent", dim=dim, m=2,
                            state_at=state_at, hbar=hbar, fd_step=fd_step,

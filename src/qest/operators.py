@@ -30,7 +30,7 @@ HERMITIAN_RTOL = 1e-12       # max |A - A^dag|
 NORM_TOL = 1e-12             # |<phi|phi> - 1| and |tr rho - 1|, per dimension
 PSD_FLOOR = -1e-12           # allowed negative eigenvalue of a state
 RECONSTRUCTION_RTOL = 1e-10  # eigendecomposition residual, per dimension
-UNITARY_TOL = 1e-10          # singular-value deviation of exp(iH)
+UNITARY_TOL = 1e-10          # singular-value deviation of a unitary
 GRAM_IMAG_RTOL = 1e-8        # Im part of a "real" Gram matrix
 REAL_COEFF_RTOL = 1e-10      # Im part of a Gram-Schmidt coefficient
 RANK_RTOL = 1e-10            # linear-dependence cutoff in Gram-Schmidt
@@ -118,14 +118,18 @@ def _sqrtm_psd(a, inverse=False):
     return root, (u / np.sqrt(w)) @ u.conj().T
 
 
+def _check_unitary(v, what):
+    sv = np.linalg.svd(v, compute_uv=False)
+    if np.max(np.abs(sv - 1.0)) > UNITARY_TOL:
+        raise InternalConsistencyError(f"{what} deviates from unitarity")
+
+
 def matrix_exponential_skew(h, scale=1.0):
     """Unitary ``exp(i * scale * H)`` for Hermitian ``H`` via eigendecomposition."""
     w, u = hermitian_eigendecomposition(h)
     ew = np.exp(1j * scale * w)
     v = (u * ew) @ u.conj().T
-    sv = np.linalg.svd(v, compute_uv=False)
-    if np.max(np.abs(sv - 1.0)) > UNITARY_TOL:
-        raise InternalConsistencyError("exp(iH) deviates from unitarity")
+    _check_unitary(v, "exp(iH)")
     return v
 
 

@@ -59,14 +59,13 @@ def _measurement_elements(model, theta_hat, weight):
     return elements
 
 
-def _log_likelihood_factory(model, element_stack):
+def _log_likelihood_factory(model, elements):
     """Vectorized heterogeneous log-likelihood over the recorded outcome
-    elements (one POVM element per past measurement)."""
-    arr = np.stack(element_stack)
+    elements, an (n, d, d) array (one POVM element per past measurement)."""
 
     def loglik(theta):
         phi = model.state(theta).vector
-        p = np.einsum("a,nab,b->n", phi.conj(), arr, phi).real
+        p = np.einsum("a,nab,b->n", phi.conj(), elements, phi).real
         return float(np.sum(np.log(np.clip(p, 1e-300, None))))
 
     return loglik
@@ -92,7 +91,6 @@ def _maximize(loglik, theta0, radius, grid_points):
     for _ in range(NEWTON_ITERS):
         grad = np.zeros(m)
         hess = np.zeros((m, m))
-        f0 = loglik(best)
         evals = {}
 
         def f(d):
@@ -105,7 +103,7 @@ def _maximize(loglik, theta0, radius, grid_points):
             ei = np.zeros(m)
             ei[i] = h
             grad[i] = (f(ei) - f(-ei)) / (2 * h)
-            hess[i, i] = (f(ei) - 2 * f0 + f(-ei)) / h**2
+            hess[i, i] = (f(ei) - 2 * best_val + f(-ei)) / h**2
         for i in range(m):
             for j in range(i + 1, m):
                 ei, ej = np.zeros(m), np.zeros(m)
@@ -138,7 +136,10 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     current estimate (re-optimized every ``reopt_every`` steps) and updates
     the estimate by maximizing the accumulated heterogeneous log-likelihood
     within a shrinking trust region.  Returns the across-trial scaled risk
-    N * Tr G MSE, to be compared with the attainable bound.
+    N * Tr G MSE, to be compared with the attainable bound.  When the model
+    has a chart map (``meta["canonicalize"]``), each estimate is mapped into
+    the chart of ``theta_true`` first, so an alias of the true point counts
+    as the point itself.
     """
     theta_true = np.asarray(theta_true, dtype=float)
     if model.m != 2 or not model.pure:
@@ -153,7 +154,9 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     true_elements = (_measurement_elements(model, theta_true, weight)
                      if cfg.fixed_measurement else None)
 
+    canonicalize = model.meta.get("canonicalize")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    record = np.empty((cfg.n_samples, model.dim, model.dim), dtype=complex)
     hats = []
     excluded = 0
     for seq in seeds:
@@ -161,17 +164,16 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
         elements = true_elements if cfg.fixed_measurement else init_elements
         probs = np.array([np.vdot(phi_true, e @ phi_true).real
                           for e in elements])
-        record = []
         theta_hat = theta_init.copy()
         try:
             for i in range(1, cfg.n_samples + 1):
                 k = rng.choice(len(probs), p=np.clip(probs, 0, None)
                                / np.clip(probs, 0, None).sum())
-                record.append(elements[k])
+                record[i - 1] = elements[k]
                 due = (i % cfg.reopt_every == 0) or (i == cfg.n_samples)
                 if not due:
                     continue
-                loglik = _log_likelihood_factory(model, record)
+                loglik = _log_likelihood_factory(model, record[:i])
                 radius = min(3.0 / np.sqrt(i * lam_min), 0.7)
                 theta_hat = _maximize(loglik, theta_hat, radius,
                                       GRID_POINTS if i <= cfg.reopt_every
@@ -180,7 +182,8 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
                     elements = _measurement_elements(model, theta_hat, weight)
                     probs = np.array([np.vdot(phi_true, e @ phi_true).real
                                       for e in elements])
-            hats.append(theta_hat)
+            hats.append(theta_hat if canonicalize is None
+                        else canonicalize(theta_hat, theta_true))
         except (ValidationError, np.linalg.LinAlgError):
             excluded += 1
     hats = np.array(hats)
@@ -205,10 +208,11 @@ class TestPowerReport:
     w_ratio: float                # w / (dt^2 <dH^2> / hbar^2)
 
 
-def time_energy_report(h, psi0, t0, dt, n, hbar=1.0):
+def time_energy_report(h, psi0, dt, n, hbar=1.0):
     """Detectability of time evolution as a binary hypothesis test.
 
-    Measures the survival measurement M_ms = {|psi(t0)><psi(t0)|, rest}:
+    Measures the survival measurement M_ms = {|psi(t0)><psi(t0)|, rest}, whose
+    statistics do not depend on t0 for a static H:
     reports the exact escape probability w after ``dt``, the Stein exponent
     of the test, the approximate power after ``n`` copies, and the Fisher
     quantities J^S = 4 <dH^2>/hbar^2 and J_Mms (their equality is the

@@ -219,14 +219,14 @@ def test_criterion_09_time_energy():
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = z + z.conj().T
     psi0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    rep = time_energy_report(h, psi0, 0.2, 0.05, 10, hbar=0.8)
+    rep = time_energy_report(h, psi0, 0.05, 10, hbar=0.8)
     dev = abs(rep.j_mms - rep.js) / max(1.0, rep.js)
     assert dev <= 1e-8
 
     errs = []
     for dt in (0.2, 0.1, 0.05):
         r = time_energy_report(0.5 * 1.1 * SIGMA_X, np.array([1.0, 0.0]),
-                               0.0, dt, 5)
+                               dt, 5)
         errs.append(abs(r.w_ratio - 1.0))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8

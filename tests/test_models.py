@@ -4,6 +4,7 @@ import pytest
 from conftest import great_circle_model
 from qest.models import (
     ParametricModel,
+    _spin_matrices,
     annihilation,
     explicit_model,
     frame_at,
@@ -145,6 +146,49 @@ class TestSpinCoherent:
             zoo_spin_coherent(0.4, 0.4)
         with pytest.raises(ValidationError):
             zoo_spin_coherent(1.0, 2.0)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.5])
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
+    def test_state_matches_generator_exponential(self, s, hbar):
+        # reference: exponentiate the generator at every theta^2
+        sx, sy = _spin_matrices(s, hbar)
+        dim = sx.shape[0]
+        rng = np.random.default_rng(int(100 * s + 10 * hbar))
+        thetas = np.concatenate([rng.uniform(-4.0, 7.0, (48, 2)),
+                                 [[-0.3, -2.5], [9.0, 13.0]]])
+        for m_z in (-s, s % 1, s):   # s % 1 is 0 for integer s
+            model = zoo_spin_coherent(s, m_z, hbar=hbar)
+            phi0 = np.zeros(dim, dtype=complex)
+            phi0[int(round(s - m_z))] = 1.0
+            for th in thetas:
+                gen = np.sin(th[1]) * sx - np.cos(th[1]) * sy
+                ref = pure_state(matrix_exponential_skew(gen, th[0]) @ phi0)
+                dev = np.max(np.abs(model.state(th).vector - ref.vector))
+                assert dev <= 1e-13, (m_z, th, dev)
+
+    @pytest.mark.parametrize("s,m_z,hbar", [(0.5, 0.5, 1.0), (1.5, -0.5, 0.7),
+                                            (2.0, 0.0, 2.0)])
+    @pytest.mark.parametrize("cell", [0, -1, 1, 2])
+    def test_canonicalize_aliases_and_rays(self, s, m_z, hbar, cell):
+        model = zoo_spin_coherent(s, m_z, hbar=hbar)
+        canon = model.meta["canonicalize"]
+        half = np.pi / hbar
+        theta = np.array([cell * half + (0.3 if cell % 2 else 0.8) / hbar,
+                          2.0])
+        for alias in ([-theta[0], theta[1] + np.pi],
+                      [theta[0], theta[1] + 2 * np.pi],
+                      [theta[0] + 2 * half, theta[1]],
+                      [-theta[0] - 4 * half, theta[1] - 3 * np.pi]):
+            assert np.allclose(canon(np.array(alias), theta), theta,
+                               rtol=0, atol=1e-12)
+        rng = np.random.default_rng(4)
+        for raw in rng.uniform(-9.0, 9.0, (40, 2)):
+            mapped = canon(raw, theta)
+            assert cell * half <= mapped[0] <= (cell + 1) * half
+            assert theta[1] - np.pi < mapped[1] <= theta[1] + np.pi
+            a, b = model.state(raw).vector, model.state(mapped).vector
+            ov = np.vdot(b, a)
+            assert np.max(np.abs(b * ov / abs(ov) - a)) <= 1e-12
 
 
 class TestSqueezed:

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qest.bounds import WeightMatrix
-from qest.models import zoo_spin_coherent
+from qest.geometry import info_geometry
+from qest.models import frame_at, zoo_spin_coherent
 from qest.operators import ValidationError
 from qest.simulate import QmleConfig, simulate_gqmle, time_energy_report
 
@@ -15,7 +18,7 @@ class TestTimeEnergyReport:
         omega = 1.3
         dt = 0.4
         rep = time_energy_report(0.5 * omega * SIGMA_X,
-                                 np.array([1.0, 0.0]), 0.0, dt, 10)
+                                 np.array([1.0, 0.0]), dt, 10)
         assert abs(rep.w - np.sin(omega * dt / 2) ** 2) <= 1e-12
         assert abs(rep.js - omega**2) <= 1e-10
 
@@ -24,7 +27,7 @@ class TestTimeEnergyReport:
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = z + z.conj().T
         psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rep = time_energy_report(h, psi0, 0.3, 0.05, 20, hbar=0.7)
+        rep = time_energy_report(h, psi0, 0.05, 20, hbar=0.7)
         assert abs(rep.j_mms - rep.js) <= 1e-8 * max(1.0, rep.js)
 
     def test_w_ratio_second_order(self):
@@ -34,7 +37,7 @@ class TestTimeEnergyReport:
         psi0 = np.array([1.0, 0.0])
         errs = []
         for dt in [0.2, 0.1, 0.05]:
-            rep = time_energy_report(h, psi0, 0.0, dt, 5)
+            rep = time_energy_report(h, psi0, dt, 5)
             errs.append(abs(rep.w_ratio - 1.0))
         assert errs[1] <= 0.3 * errs[0]
         assert errs[2] <= 0.3 * errs[1]
@@ -42,13 +45,13 @@ class TestTimeEnergyReport:
     def test_regime_flag(self):
         h = 0.5 * SIGMA_X
         psi0 = np.array([1.0, 0.0])
-        assert time_energy_report(h, psi0, 0.0, 0.1, 3).quadratic_regime
-        assert not time_energy_report(h, psi0, 0.0, 2.5, 3).quadratic_regime
+        assert time_energy_report(h, psi0, 0.1, 3).quadratic_regime
+        assert not time_energy_report(h, psi0, 2.5, 3).quadratic_regime
 
     def test_power_monotone_in_n(self):
         h = 0.5 * SIGMA_X
         psi0 = np.array([1.0, 0.0])
-        p = [time_energy_report(h, psi0, 0.0, 0.3, n).power_approx
+        p = [time_energy_report(h, psi0, 0.3, n).power_approx
              for n in (1, 5, 25)]
         assert p[0] < p[1] < p[2]
 
@@ -86,3 +89,54 @@ class TestSimulateGqmle:
         with pytest.raises(ValidationError):
             simulate_gqmle(great_circle_model(), np.array([0.5]),
                            WeightMatrix.from_matrix(np.eye(1)), QmleConfig())
+
+
+class TestQmleRegression:
+    """Spin 1/2, G = J^S at theta = (pi/3, pi/4), N = 60, 3 trials, seed 2024.
+
+    The expected values were produced by commit 444e9ff, where each state
+    evaluation exponentiated the generator afresh and estimates were not yet
+    mapped into the chart of theta_true; none of these estimates is an alias,
+    so the map leaves them as they were.
+    """
+
+    THETA = np.array([np.pi / 3, np.pi / 4])
+    EXPECTED = {
+        1: ([[1.153202466242807, 0.6909685299905483],
+             [1.5129202496895373, 0.8354067824978423],
+             [1.1092832682272022, 1.260390352657573]], 8.195317165875828),
+        20: ([[1.3397188546598433, 0.5053237050900089],
+              [1.4077701911383214, 0.7737770301321947],
+              [1.198015540880609, 1.1986811134186561]], 8.507241398973436),
+    }
+
+    @staticmethod
+    def _run(model, theta, seed, reopt):
+        weight = WeightMatrix.from_matrix(
+            info_geometry(frame_at(model, theta)).JS)
+        cfg = QmleConfig(n_samples=60, trials=3, seed=seed, reopt_every=reopt)
+        return simulate_gqmle(model, theta, weight, cfg)
+
+    @pytest.mark.parametrize("reopt", [1, 20])
+    def test_pinned_estimates(self, reopt):
+        res = self._run(zoo_spin_coherent(0.5, 0.5), self.THETA, 2024, reopt)
+        hats, risk = self.EXPECTED[reopt]
+        assert res.excluded_trials == 0
+        assert np.max(np.abs(res.theta_hats - np.array(hats))) <= 1e-6
+        assert abs(res.scaled_risk - risk) <= 1e-6
+
+    def test_estimates_reported_in_chart_of_theta_true(self):
+        # at seed 7 the second trial converges to (theta^1 - 2 pi, ...) of
+        # the alias (-theta^1, theta^2 + pi) of the true point
+        model = zoo_spin_coherent(0.5, 0.5)
+        no_chart = dataclasses.replace(model, meta={
+            k: v for k, v in model.meta.items() if k != "canonicalize"})
+        res = self._run(model, self.THETA, 7, 1)
+        raw = self._run(no_chart, self.THETA, 7, 1)
+        canon = model.meta["canonicalize"]
+        assert np.max(np.abs(raw.theta_hats - self.THETA)) > 3.0
+        assert np.array_equal(
+            res.theta_hats, np.array([canon(h, self.THETA)
+                                      for h in raw.theta_hats]))
+        assert np.max(np.abs(res.theta_hats - self.THETA)) <= 0.5
+        assert res.scaled_risk < 0.1 * raw.scaled_risk
