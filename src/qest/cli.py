@@ -23,7 +23,6 @@ from .bounds import (
     boundary_curve,
     cr_coherent,
     cr_two_param,
-    sld_bound,
 )
 from .measurements import (
     commuting_sld_estimator,
@@ -32,7 +31,7 @@ from .measurements import (
     optimal_vectors_sld,
     optimal_vectors_two_param,
 )
-from .oracle import SearchConfig, oracle_min_weighted_variance
+from .oracle import SearchConfig, oracle_min_weighted_variance, verify_bound
 from .simulate import QmleConfig, simulate_gqmle, time_energy_report
 
 __all__ = ["main", "run"]
@@ -168,16 +167,17 @@ def _cmd_geometry(args):
 
 def _cmd_bound(args):
     model, theta = _load_model(args)
-    geom = info_geometry(frame_at(model, theta))
+    frame = frame_at(model, theta)
+    geom = info_geometry(frame)
     weight = _load_weight(args.weight, geom)
     res = attainable_bound(geom, weight, model.pure)
     if res is None:
         cfg = SearchConfig(restarts=args.restarts, local_steps=args.steps,
                            seed=_resolve_seed(args))
-        oracle = oracle_min_weighted_variance(model, theta, weight.G, cfg)
+        check = verify_bound(frame, geom, weight, None, cfg=cfg)
         report = {"method": "interval",
-                  "lower": sld_bound(geom, weight).cr_value,
-                  "upper": float(oracle.best_value),
+                  "lower": check["sld_floor"],
+                  "upper": check["oracle_value"],
                   "note": "no closed form in this regime: rigorous "
                           "[sld floor, oracle] interval"}
         lines = [f"method: {report['method']}",
@@ -220,7 +220,7 @@ def _cmd_measurement(args):
     method = bound.method if bound is not None else None
 
     if method == "sld" and not model.pure:
-        pvm = commuting_sld_estimator(model, theta, geom)
+        pvm = commuting_sld_estimator(frame, geom)
         elements = pvm.projectors
         name, cov = "commuting_slds", bound.V_opt
     elif method in ("sld", "two_param"):
@@ -256,30 +256,26 @@ def _cmd_measurement(args):
 
 def _cmd_oracle(args):
     model, theta = _load_model(args)
-    geom = info_geometry(frame_at(model, theta))
+    frame = frame_at(model, theta)
+    geom = info_geometry(frame)
     weight = _load_weight(args.weight, geom)
     seed = _resolve_seed(args)
     cfg = SearchConfig(restarts=args.restarts, local_steps=args.steps,
                        seed=seed, dilate_dim=args.dilate_dim)
-    res = oracle_min_weighted_variance(model, theta, weight.G, cfg)
+    check = verify_bound(frame, geom, weight,
+                         attainable_bound(geom, weight, model.pure), cfg=cfg)
     report = {
-        "oracle_value": float(res.best_value),
-        "sld_floor": sld_bound(geom, weight).cr_value,
+        "oracle_value": check["oracle_value"],
+        "sld_floor": check["sld_floor"],
         "restarts": cfg.restarts,
         "local_steps": cfg.local_steps,
         "seed": seed,
         "dilate_dim": cfg.resolved_dim(geom.m),
-        "singular_fraction": float(res.singular_fraction),
+        "singular_fraction": float(check["result"].singular_fraction),
     }
-    closed = attainable_bound(geom, weight, model.pure)
-    if closed is not None:
-        gap = res.best_value - closed.cr_value
-        if gap < -ORACLE_SLACK * max(1.0, abs(closed.cr_value)):
-            raise InternalConsistencyError(
-                f"oracle value {res.best_value!r} undercuts the closed-form "
-                f"bound {closed.cr_value!r}")
-        report["cr_value"] = closed.cr_value
-        report["gap_above_bound"] = float(gap)
+    if "cr_value" in check:
+        report["cr_value"] = check["cr_value"]
+        report["gap_above_bound"] = check["gap_above"]
     lines = [f"oracle value: {_sig(report['oracle_value'])}",
              f"sld floor:    {_sig(report['sld_floor'])}"]
     if "cr_value" in report:
@@ -450,9 +446,10 @@ def _selftest_checks():
     # small oracle run against the closed form
     model = zoo_spin_coherent(0.5, 0.5)
     th = np.array([np.pi / 3, np.pi / 4])
-    geom = info_geometry(frame_at(model, th))
+    frame = frame_at(model, th)
     cfg = SearchConfig(restarts=8, local_steps=600, seed=2024)
-    res = oracle_min_weighted_variance(model, th, geom.JS, cfg)
+    res = oracle_min_weighted_variance(frame, info_geometry(frame).JS,
+                                       cfg=cfg)
     ok = 4.0 - ORACLE_SLACK <= res.best_value <= 4.2
     yield "oracle vs closed form on the spin model", ok, \
         f"value {res.best_value:.9g}"

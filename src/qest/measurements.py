@@ -18,8 +18,8 @@ from .operators import (
     _sqrtm_psd,
     gram_schmidt_real_coefficients,
 )
-from .models import _embed_frame, sld_solve
-from .geometry import COHERENT_BETA_TOL, _normalized_skew, info_geometry
+from .models import _embed_frame
+from .geometry import COHERENT_BETA_TOL, _normalized_skew
 from .bounds import _so2_diagonalizer
 
 __all__ = [
@@ -325,14 +325,18 @@ def optimal_vectors_two_param(frame, weight, bound):
     return _verified_vectors(frame, phi_e, l_e, x_e, v_opt), basis
 
 
-def commuting_sld_estimator(model, theta, geom=None):
+def commuting_sld_estimator(frame, geom):
     """Optimal projective estimator for a faithful model with commuting SLDs.
 
-    Measures the simultaneous eigenbasis of the SLDs and announces
-    theta + J^{S-1} lambda(omega), where lambda_k(omega) is the eigenvalue of
-    L_k on the outcome vector.  Covariance equals J^{S-1}.
+    ``frame`` is the mixed tangent frame at theta and ``geom`` its
+    information geometry (only J^S is read).  Measures the simultaneous
+    eigenbasis of the SLDs and announces theta + J^{S-1} lambda(omega), where
+    lambda_k(omega) is the eigenvalue of L_k on the outcome vector.
+    Covariance equals J^{S-1}.
     """
-    frame = sld_solve(model, theta)
+    if frame.pure:
+        raise ValidationError("the commuting-SLD estimator needs a faithful "
+                              "mixed frame")
     slds = frame.slds
     m = len(slds)
     scale = max(max(np.max(np.abs(l)) for l in slds), 1e-300)
@@ -346,7 +350,7 @@ def commuting_sld_estimator(model, theta, geom=None):
 
     # simultaneous eigenbasis via a generic linear combination
     rng = np.random.default_rng(7)
-    dim = model.dim
+    dim = len(frame.rho)
     for _ in range(16):
         c = rng.standard_normal(m)
         mix = sum(ci * li for ci, li in zip(c, slds))
@@ -361,7 +365,6 @@ def commuting_sld_estimator(model, theta, geom=None):
     else:
         raise InternalConsistencyError("simultaneous diagonalization failed")
 
-    geom = geom if geom is not None else info_geometry(frame)
     js_inv = np.linalg.inv(geom.JS)
     projectors = []
     estimates = []
@@ -369,7 +372,7 @@ def commuting_sld_estimator(model, theta, geom=None):
         v = u[:, w]
         projectors.append(np.outer(v, v.conj()))
         lam = np.array([np.vdot(v, l @ v).real for l in slds])
-        estimates.append(np.asarray(theta, dtype=float) + js_inv @ lam)
+        estimates.append(frame.theta + js_inv @ lam)
     pvm = PvmEstimator(projectors=projectors, estimates=estimates,
                        ambient_dim=dim)
     pvm.validate()

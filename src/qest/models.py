@@ -238,9 +238,9 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     (dimensionless).  So S_x is diagonalized and checked once, here, and a
     state costs two d x d matrix-vector products.
 
-    Closed forms (attached in ``meta``):
-    J^S = 2 hbar^2 (s^2 + s - m_z^2) diag(1, sin^2 theta^1),
-    J~_{12} = 2 m_z hbar^2 sin theta^1,  beta = m_z / (s^2 + s - m_z^2).
+    Closed forms, with c = s^2 + s - m_z^2 (the state turns by hbar theta^1):
+    J^S = 2 c diag(hbar^2, sin^2(hbar theta^1)),
+    J~_{12} = 2 m_z hbar sin(hbar theta^1),  beta = |m_z| / c.
     ``meta["canonicalize"](theta, ref)`` maps theta into the chart of ``ref``.
     """
     if (2 * s) % 1 != 0 or s <= 0:
@@ -281,17 +281,9 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
         t2 = t2 - 2 * np.pi * np.ceil((t2 - ref[1] - np.pi) / (2 * np.pi))
         return np.array([t1, t2])
 
-    c = s * s + s - m_z * m_z
-    meta = {
-        "s": s, "m_z": m_z,
-        "js": lambda th: 2 * hbar**2 * c * np.diag([1.0, np.sin(th[0])**2]),
-        "jtilde_12": lambda th: 2 * m_z * hbar**2 * np.sin(th[0]),
-        "beta": m_z / c,
-        "canonicalize": canonicalize,
-    }
     return ParametricModel(kind="spin_coherent", dim=dim, m=2,
                            state_at=state_at, hbar=hbar, fd_step=fd_step,
-                           meta=meta)
+                           meta={"canonicalize": canonicalize})
 
 
 def annihilation(n):
@@ -340,13 +332,8 @@ def zoo_squeezed(trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
         _check_leakage(v, "squeezed model")
         return pure_state(v / np.linalg.norm(v))
 
-    meta = {
-        # |det J^S| = |det J~| for this model (it is coherent)
-        "abs_det": lambda th: (4.0 / hbar**2) * np.sinh(2 * th[2])**2,
-    }
     return ParametricModel(kind="squeezed", dim=trunc_dim, m=4,
-                           state_at=state_at, hbar=hbar, fd_step=fd_step,
-                           meta=meta)
+                           state_at=state_at, hbar=hbar, fd_step=fd_step)
 
 
 def zoo_pm_shift(phi0=0, trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
@@ -362,18 +349,11 @@ def zoo_pm_shift(phi0=0, trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
     x = np.sqrt(hbar / 2.0) * (a + ad)
     p = 1j * np.sqrt(hbar / 2.0) * (ad - a)
     if np.isscalar(phi0):
-        nidx = int(phi0)
         ref = np.zeros(trunc_dim, dtype=complex)
-        ref[nidx] = 1.0
-        meta = {
-            "n": nidx,
-            "js": (4.0 / hbar) * (nidx + 0.5) * np.eye(2),
-            "abs_beta": 1.0 / (2 * nidx + 1),
-        }
+        ref[int(phi0)] = 1.0
     else:
         ref = np.asarray(phi0, dtype=complex).ravel()
         ref = ref / np.linalg.norm(ref)
-        meta = {}
     from scipy.linalg import expm
 
     def state_at(theta):
@@ -383,16 +363,15 @@ def zoo_pm_shift(phi0=0, trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
         return pure_state(v / np.linalg.norm(v))
 
     return ParametricModel(kind="pm_shift", dim=trunc_dim, m=2,
-                           state_at=state_at, hbar=hbar, fd_step=fd_step,
-                           meta=meta)
+                           state_at=state_at, hbar=hbar, fd_step=fd_step)
 
 
 def zoo_canonical(energies, k_b=1.0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     """Gibbs family rho(T) = exp(-H / k_B T) / Z, 1 parameter T > 0.
 
-    Exposes the heat capacity C(T) = Var(H) / (k_B T^2) and the optimal
-    temperature estimator that assigns T + (E_w - <H>_T) / C(T) to energy
-    outcome w.
+    ``meta`` holds the heat capacity C(T) = Var(H) / (k_B T^2), the
+    Fisher information J^S(T) = C(T) / (k_B T^2) and the optimal temperature
+    estimator that assigns T + (E_w - <H>_T) / C(T) to energy outcome w.
     """
     e = np.asarray(energies, dtype=float).ravel()
     if len(e) < 2:
@@ -421,7 +400,6 @@ def zoo_canonical(energies, k_b=1.0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
         return t + (e - mean) / heat_capacity(t)
 
     meta = {
-        "energies": e,
         "heat_capacity": heat_capacity,
         "best_estimates": best_estimates,
         "js": lambda t: heat_capacity(t) / (k_b * t * t),
@@ -432,7 +410,10 @@ def zoo_canonical(energies, k_b=1.0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 
 
 def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
-    """Unitary time evolution phi(t) = exp(-i H t / hbar) psi0, 1 parameter."""
+    """Unitary time evolution phi(t) = exp(-i H t / hbar) psi0, 1 parameter.
+
+    ``meta`` holds H, the given psi0 and the energy variance <dH^2> of the
+    normalized psi0."""
     h = np.asarray(h, dtype=complex)
     given = np.asarray(psi0, dtype=complex).ravel()
     psi0 = given / np.linalg.norm(given)
@@ -444,7 +425,7 @@ def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 
     mean = np.vdot(psi0, h @ psi0).real
     var = (np.vdot(psi0, h @ h @ psi0).real - mean * mean)
-    meta = {"h": h, "psi0": given, "var_h": var, "js": 4.0 * var / hbar**2}
+    meta = {"h": h, "psi0": given, "var_h": var}
     return ParametricModel(kind="time_evolution", dim=len(psi0), m=1,
                            state_at=state_at, hbar=hbar, fd_step=fd_step,
                            meta=meta)

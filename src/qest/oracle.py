@@ -12,9 +12,8 @@ import numpy as np
 
 from .operators import (DERIV_FLOOR, ORACLE_SLACK, PROB_FLOOR,
                         InternalConsistencyError, ValidationError)
-from .models import _embed_frame, frame_at
-from .geometry import info_geometry
-from .bounds import WeightMatrix, sld_bound
+from .models import _embed_frame
+from .bounds import sld_bound
 
 __all__ = ["SearchConfig", "OracleResult", "oracle_min_weighted_variance",
            "verify_bound"]
@@ -74,9 +73,9 @@ def _random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r))).conj()
 
 
-def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
+def oracle_min_weighted_variance(frame, g, cfg=SearchConfig(),
                                  warm_start=None):
-    """Stochastic search over dilated-space PVM bases.
+    """Stochastic search over dilated-space PVM bases of a pure ``frame``.
 
     Each restart draws a Haar-ish random orthonormal basis and hill-climbs
     over random two-column unitary (Givens-like) perturbations, accepting
@@ -84,10 +83,9 @@ def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
     together: one proposal each per step, scored as one batch.  Restart r
     draws from its own stream ``SeedSequence(seed).spawn(restarts)[r]``, so
     its trajectory does not depend on how many restarts run.  Deterministic
-    for fixed (seed, cfg, model, theta, G).  ``warm_start`` (a dilate_dim x
+    for fixed (seed, cfg, frame, G).  ``warm_start`` (a dilate_dim x
     dilate_dim unitary) is injected as an extra, first restart.
     """
-    frame = frame_at(model, theta)
     g = np.asarray(g, dtype=float)
     dim = cfg.resolved_dim(frame.m)
     _, phi_e, l_e = _embed_frame(frame, dim)
@@ -148,28 +146,34 @@ def oracle_min_weighted_variance(model, theta, g, cfg=SearchConfig(),
                         singular_fraction=n_singular / len(starts))
 
 
-def verify_bound(model, theta, g, closed_form, cfg=SearchConfig(),
+def verify_bound(frame, geom, weight, closed_form, cfg=SearchConfig(),
                  warm_start=None):
-    """Check a closed-form bound against the oracle.
+    """Check the oracle against the SLD floor of ``geom`` and, when
+    ``closed_form`` (a :class:`~qest.bounds.BoundResult`) is given, against
+    that bound.
 
     Hard-asserts soundness (the oracle, being an achievable risk, can never
-    be below the bound beyond round-off) and reports the relative gap above.
+    be below the closed form beyond round-off) and reports the gap above it.
+    With ``closed_form=None`` only the oracle value and the floor are
+    reported.
     """
-    res = oracle_min_weighted_variance(model, theta, g, cfg,
+    res = oracle_min_weighted_variance(frame, weight.G, cfg=cfg,
                                        warm_start=warm_start)
-    gap = res.best_value - closed_form.cr_value
-    if gap < -ORACLE_SLACK * max(1.0, abs(closed_form.cr_value)):
-        raise InternalConsistencyError(
-            f"oracle ({res.best_value!r}) undercuts the closed-form bound "
-            f"({closed_form.cr_value!r}): floor violation")
-    floor = sld_bound(info_geometry(frame_at(model, theta)),
-                      WeightMatrix.from_matrix(g)).cr_value
-    return {
+    floor = sld_bound(geom, weight).cr_value
+    report = {
         "oracle_value": res.best_value,
-        "cr_value": closed_form.cr_value,
-        "gap_above": float(gap),
-        "relative_gap": float(gap / max(abs(closed_form.cr_value), 1e-300)),
         "sld_floor": floor,
         "floor_violation": bool(res.best_value < floor - ORACLE_SLACK),
         "result": res,
     }
+    if closed_form is None:
+        return report
+    cr = closed_form.cr_value
+    gap = res.best_value - cr
+    if gap < -ORACLE_SLACK * max(1.0, abs(cr)):
+        raise InternalConsistencyError(
+            f"oracle ({res.best_value!r}) undercuts the closed-form bound "
+            f"({cr!r}): floor violation")
+    report.update(cr_value=cr, gap_above=float(gap),
+                  relative_gap=float(gap / max(abs(cr), 1e-300)))
+    return report

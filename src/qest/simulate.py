@@ -47,11 +47,9 @@ class QmleResult:
     cr_value: float
 
 
-def _measurement_elements(model, theta_hat, weight):
+def _measurement_elements(frame, geom, weight):
     """Base-space POVM elements of the optimal two-parameter measurement
-    constructed at ``theta_hat`` (dilated PVM compressed back)."""
-    frame = frame_at(model, theta_hat)
-    geom = info_geometry(frame)
+    constructed at the frame's point (dilated PVM compressed back)."""
     bound = cr_two_param(geom, weight)
     vectors, basis = optimal_vectors_two_param(frame, weight, bound)
     pvm = construct_pvm_from_vectors(vectors)
@@ -144,14 +142,19 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     theta_true = np.asarray(theta_true, dtype=float)
     if model.m != 2 or not model.pure:
         raise ValidationError("simulate_gqmle covers 2-parameter pure models")
-    geom_true = info_geometry(frame_at(model, theta_true))
+    frame_true = frame_at(model, theta_true)
+    geom_true = info_geometry(frame_true)
     bound_true = cr_two_param(geom_true, weight)
     lam_min = float(np.linalg.eigvalsh(geom_true.JS)[0])
 
+    def elements_at(theta):
+        frame = frame_at(model, theta)
+        return _measurement_elements(frame, info_geometry(frame), weight)
+
     theta_init = theta_true + np.array(INIT_OFFSET)
-    phi_true = model.state(theta_true).vector
-    init_elements = _measurement_elements(model, theta_init, weight)
-    true_elements = (_measurement_elements(model, theta_true, weight)
+    phi_true = frame_true.phi
+    init_elements = elements_at(theta_init)
+    true_elements = (_measurement_elements(frame_true, geom_true, weight)
                      if cfg.fixed_measurement else None)
 
     canonicalize = model.meta.get("canonicalize")
@@ -179,7 +182,7 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
                                       GRID_POINTS if i <= cfg.reopt_every
                                       else 1)
                 if not cfg.fixed_measurement and i < cfg.n_samples:
-                    elements = _measurement_elements(model, theta_hat, weight)
+                    elements = elements_at(theta_hat)
                     probs = np.array([np.vdot(phi_true, e @ phi_true).real
                                       for e in elements])
             hats.append(theta_hat if canonicalize is None

@@ -114,11 +114,12 @@ def test_criterion_04_oracle_soundness_and_tightness():
     theta = np.array([np.pi / 3, np.pi / 4])
     frame = frame_at(model, theta)
     geom = info_geometry(frame)
-    res_spin = oracle_min_weighted_variance(model, theta, geom.JS, cfg)
+    res_spin = oracle_min_weighted_variance(frame, geom.JS, cfg)
     assert 4.0 - 1e-9 <= res_spin.best_value <= 4.12
 
     synth, th_s = synthetic_lift_model(np.array([[0.0, -0.6], [0.6, 0.0]]))
-    res_synth = oracle_min_weighted_variance(synth, th_s, np.eye(2), cfg)
+    res_synth = oracle_min_weighted_variance(frame_at(synth, th_s), np.eye(2),
+                                             cfg)
     assert 2.2222 - 1e-9 <= res_synth.best_value <= 2.30
 
     weight = WeightMatrix.from_matrix(geom.JS)
@@ -128,7 +129,7 @@ def test_criterion_04_oracle_soundness_and_tightness():
     warm = pvm_as_warm_start(pvm, embedding, frame,
                              cfg.resolved_dim(frame.m))
     warm_cfg = SearchConfig(restarts=2, local_steps=400, seed=2024)
-    report = verify_bound(model, theta, geom.JS, bound, warm_cfg,
+    report = verify_bound(frame, geom, weight, bound, warm_cfg,
                           warm_start=warm)
     assert -1e-9 <= report["gap_above"] <= 1e-8
     print(f"criterion 4 detail: spin {res_spin.best_value:.9g}, synthetic "
@@ -293,10 +294,8 @@ def test_criterion_10_property_battery_under_budget():
 
     # oracle determinism under seed
     cfg = SearchConfig(restarts=2, local_steps=100, seed=77)
-    r1 = oracle_min_weighted_variance(spin, np.array([1.0, 0.4]),
-                                      np.eye(2), cfg)
-    r2 = oracle_min_weighted_variance(spin, np.array([1.0, 0.4]),
-                                      np.eye(2), cfg)
+    r1 = oracle_min_weighted_variance(frame, np.eye(2), cfg)
+    r2 = oracle_min_weighted_variance(frame, np.eye(2), cfg)
     assert r1.best_value == r2.best_value
 
     elapsed = time.monotonic() - start

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -320,15 +321,15 @@ class TestOracleSearchesOnce:
     ])
     def test_one_search_per_command(self, tmp_path, capsys, monkeypatch,
                                     name, spec, weight):
-        import qest.cli
+        import qest.oracle
         calls = []
-        search = qest.cli.oracle_min_weighted_variance
+        search = qest.oracle.oracle_min_weighted_variance
 
         def counting(*args, **kwargs):
             calls.append(1)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(qest.cli, "oracle_min_weighted_variance",
+        monkeypatch.setattr(qest.oracle, "oracle_min_weighted_variance",
                             counting)
         path = write_spec(tmp_path, name, spec)
         assert run(["oracle", "--model", path, "--weight", weight,
@@ -346,3 +347,47 @@ class TestOracleSearchesOnce:
         assert report["method"] == "interval"
         assert abs(report["lower"] - 3.0) <= 1e-9      # Tr J^{S-1}, J^S = I
         assert report["lower"] <= report["upper"]
+
+
+CANONICAL_SPEC = {"kind": "canonical", "params": {"energies": [0.0, 0.7, 1.3]},
+                  "theta": [1.0]}
+
+
+class TestOneFramePerCommand:
+    """Each command evaluates the tangents and the geometry of its point
+    once and hands them to every consumer."""
+
+    @pytest.mark.parametrize("argv,name,spec,weight", [
+        (["oracle", "--restarts", "2", "--steps", "50"], "spin", SPIN_SPEC,
+         "js"),
+        (["bound", "--restarts", "2", "--steps", "50"], "explicit3",
+         explicit3_spec(), "identity"),
+        (["measurement"], "canonical", CANONICAL_SPEC, "identity"),
+    ])
+    def test_one_evaluation(self, tmp_path, capsys, monkeypatch, argv, name,
+                            spec, weight):
+        import qest.geometry
+        import qest.models
+        counts = {"tangents": 0, "info_geometry": 0}
+
+        def counting(fname, fn):
+            def wrapped(*args, **kwargs):
+                counts[fname] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        wrappers = {
+            "tangents": counting("tangents", qest.models.tangents),
+            "info_geometry": counting("info_geometry",
+                                      qest.geometry.info_geometry),
+        }
+        for modname, mod in list(sys.modules.items()):
+            if modname == "qest" or modname.startswith("qest."):
+                for fname, wrapper in wrappers.items():
+                    if hasattr(mod, fname):
+                        monkeypatch.setattr(mod, fname, wrapper)
+        path = write_spec(tmp_path, name, spec)
+        assert run(argv + ["--model", path, "--weight", weight,
+                           "--seed", "5", "--format", "json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert counts == {"tangents": 1, "info_geometry": 1}

@@ -210,7 +210,8 @@ class TestCommutingSldEstimator:
     def test_canonical_temperature_estimator(self):
         model = zoo_canonical([0.0, 0.8, 1.7])
         t = 1.1
-        pvm = commuting_sld_estimator(model, np.array([t]))
+        frame = frame_at(model, np.array([t]))
+        pvm = commuting_sld_estimator(frame, info_geometry(frame))
         expect = sorted(model.meta["best_estimates"](t))
         got = sorted(e[0] for e in pvm.estimates)
         assert np.max(np.abs(np.array(got) - np.array(expect))) <= 1e-6
@@ -220,10 +221,10 @@ class TestCommutingSldEstimator:
         t = 0.8
         from qest.models import sld_solve
         frame = sld_solve(model, np.array([t]))
-        pvm = commuting_sld_estimator(model, np.array([t]))
+        geom = info_geometry(frame)
+        pvm = commuting_sld_estimator(frame, geom)
         p, dp = outcome_distribution(frame, pvm.projectors)
         jm, _ = classical_fisher(p, dp)
-        geom = info_geometry(frame)
         assert abs(jm[0, 0] - geom.JS[0, 0]) <= 1e-8
 
     def test_non_commuting_refused(self):
@@ -232,8 +233,14 @@ class TestCommutingSldEstimator:
         sy = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
         model = rotation_qubit_model(0.5 * sx, 0.5 * sy,
                                      np.diag([0.8, 0.2]).astype(complex))
+        frame = frame_at(model, np.array([0.1, 0.2]))
         with pytest.raises(ValidationError, match="commute"):
-            commuting_sld_estimator(model, np.array([0.1, 0.2]))
+            commuting_sld_estimator(frame, info_geometry(frame))
+
+    def test_pure_frame_refused(self):
+        frame = frame_at(zoo_spin_coherent(0.5, 0.5), np.array([1.0, 0.4]))
+        with pytest.raises(ValidationError, match="mixed frame"):
+            commuting_sld_estimator(frame, info_geometry(frame))
 
 
 class TestNaimark:

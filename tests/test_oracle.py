@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import great_circle_model, synthetic_lift_model
-from qest.bounds import WeightMatrix, cr_two_param, sld_bound
+from qest.bounds import BoundResult, WeightMatrix, cr_two_param, sld_bound
 from qest.geometry import info_geometry
 from qest.measurements import construct_pvm_from_vectors, optimal_vectors_two_param
 from qest.models import (ParametricModel, _embed_frame, frame_at,
                          zoo_spin_coherent)
-from qest.operators import DERIV_FLOOR, PROB_FLOOR, ValidationError, pure_state
+from qest.operators import (DERIV_FLOOR, PROB_FLOOR, InternalConsistencyError,
+                            ValidationError, pure_state)
 from qest.oracle import (SearchConfig, _random_unitary, _risks,
                          oracle_min_weighted_variance, verify_bound)
 
@@ -78,17 +79,18 @@ def pvm_as_warm_start(pvm, embedding, frame, dim):
 class TestOracleSearch:
     def test_one_parameter_qubit_converges(self):
         model = great_circle_model()
-        res = oracle_min_weighted_variance(model, np.array([np.pi / 3]),
-                                           np.eye(1), FAST)
+        res = oracle_min_weighted_variance(
+            frame_at(model, np.array([np.pi / 3])), np.eye(1), FAST)
         assert res.best_value >= 1.0 - 1e-9
         assert res.best_value <= 1.0 + 1e-6
 
     def test_quasi_classical_reaches_sld_floor(self):
         model = real_sphere_model()
         theta = np.array([0.7, 0.4])
-        geom = info_geometry(frame_at(model, theta))
+        frame = frame_at(model, theta)
+        geom = info_geometry(frame)
         floor = float(np.trace(np.linalg.inv(geom.JS)))
-        res = oracle_min_weighted_variance(model, theta, np.eye(2), FAST)
+        res = oracle_min_weighted_variance(frame, np.eye(2), FAST)
         assert res.best_value >= floor - 1e-9
         assert res.best_value <= floor * 1.005
 
@@ -96,21 +98,21 @@ class TestOracleSearch:
         model = zoo_spin_coherent(0.5, 0.5)
         theta = np.array([1.0, 0.4])
         cfg = SearchConfig(restarts=3, local_steps=150, seed=42)
-        r1 = oracle_min_weighted_variance(model, theta, np.eye(2), cfg)
-        r2 = oracle_min_weighted_variance(model, theta, np.eye(2), cfg)
+        frame = frame_at(model, theta)
+        r1 = oracle_min_weighted_variance(frame, np.eye(2), cfg)
+        r2 = oracle_min_weighted_variance(frame, np.eye(2), cfg)
         assert r1.best_value == r2.best_value
         assert np.array_equal(r1.best_basis, r2.best_basis)
 
     def test_dilate_dim_flag(self):
         model = great_circle_model()
         cfg = SearchConfig(restarts=2, local_steps=100, seed=5, dilate_dim=4)
-        res = oracle_min_weighted_variance(model, np.array([0.8]),
-                                           np.eye(1), cfg)
+        frame = frame_at(model, np.array([0.8]))
+        res = oracle_min_weighted_variance(frame, np.eye(1), cfg)
         assert res.best_basis.shape == (4, 4)
         bad = SearchConfig(restarts=1, local_steps=1, seed=5, dilate_dim=1)
         with pytest.raises(ValidationError):
-            oracle_min_weighted_variance(model, np.array([0.8]),
-                                         np.eye(1), bad)
+            oracle_min_weighted_variance(frame, np.eye(1), bad)
 
 
 class TestRisks:
@@ -187,7 +189,7 @@ class TestBatchedSearch:
         model, theta, kind = self.CASES[case]
         g = self._weight(model, theta, kind)
         cfg = SearchConfig(restarts=4, local_steps=300, seed=3)
-        res = oracle_min_weighted_variance(model, theta, g, cfg)
+        res = oracle_min_weighted_variance(frame_at(model, theta), g, cfg)
         b = res.best_basis
         assert np.max(np.abs(b.conj().T @ b - np.eye(len(b)))) <= 1e-10
         phi_e, l_e = _embedded(model, theta, len(b))
@@ -198,8 +200,9 @@ class TestBatchedSearch:
     def test_more_restarts_never_worse(self, case):
         model, theta, kind = self.CASES[case]
         g = self._weight(model, theta, kind)
+        frame = frame_at(model, theta)
         values = [oracle_min_weighted_variance(
-            model, theta, g,
+            frame, g,
             SearchConfig(restarts=r, local_steps=200, seed=19)).best_value
             for r in (1, 2, 4, 8)]
         assert all(b <= a for a, b in zip(values, values[1:]))
@@ -219,7 +222,8 @@ class TestWarmStart:
         dim = SearchConfig().resolved_dim(frame.m)
         warm = pvm_as_warm_start(pvm, embedding, frame, dim)
         cfg = SearchConfig(restarts=2, local_steps=200, seed=3)
-        report = verify_bound(model, theta, g, bound, cfg, warm_start=warm)
+        report = verify_bound(frame, geom, weight, bound, cfg,
+                              warm_start=warm)
         assert report["gap_above"] >= -1e-9
         assert report["gap_above"] <= 1e-8
 
@@ -230,11 +234,12 @@ def test_larger_dilation_does_not_improve():
     # the closed-form optimum
     model = zoo_spin_coherent(0.5, 0.5)
     theta = np.array([1.0, 0.4])
-    geom = info_geometry(frame_at(model, theta))
+    frame = frame_at(model, theta)
+    geom = info_geometry(frame)
     g = geom.JS.copy()
     bound = cr_two_param(geom, WeightMatrix.from_matrix(g))
     cfg = SearchConfig(restarts=32, local_steps=1500, seed=2024, dilate_dim=7)
-    res = oracle_min_weighted_variance(model, theta, g, cfg)
+    res = oracle_min_weighted_variance(frame, g, cfg)
     assert res.best_value >= bound.cr_value - 1e-9
 
 
@@ -242,10 +247,36 @@ class TestVerifyBound:
     def test_report_fields(self):
         model = zoo_spin_coherent(0.5, 0.5)
         theta = np.array([1.0, 0.4])
-        geom = info_geometry(frame_at(model, theta))
-        bound = cr_two_param(geom, WeightMatrix.from_matrix(np.eye(2)))
-        report = verify_bound(model, theta, np.eye(2), bound, FAST)
+        frame = frame_at(model, theta)
+        geom = info_geometry(frame)
+        weight = WeightMatrix.from_matrix(np.eye(2))
+        bound = cr_two_param(geom, weight)
+        report = verify_bound(frame, geom, weight, bound, FAST)
         assert report["oracle_value"] >= report["cr_value"] - 1e-9
         assert not report["floor_violation"]
         assert report["relative_gap"] >= -1e-12
         assert report["sld_floor"] <= report["cr_value"] + 1e-12
+
+    def test_without_closed_form_reports_the_floor_only(self):
+        model, theta = synthetic_lift_model(
+            np.array([[0.0, -0.5, 0.2], [0.5, 0.0, -0.3], [-0.2, 0.3, 0.0]]))
+        frame = frame_at(model, theta)
+        geom = info_geometry(frame)
+        weight = WeightMatrix.from_matrix(np.eye(3))
+        report = verify_bound(frame, geom, weight, None, FAST)
+        assert set(report) == {"oracle_value", "sld_floor",
+                               "floor_violation", "result"}
+        assert abs(report["sld_floor"] - 3.0) <= 1e-9    # Tr J^{S-1}, J^S = I
+        assert report["oracle_value"] >= report["sld_floor"]
+        assert not report["floor_violation"]
+
+    def test_bound_above_reachable_value_raises(self):
+        model = zoo_spin_coherent(0.5, 0.5)
+        theta = np.array([1.0, 0.4])
+        frame = frame_at(model, theta)
+        geom = info_geometry(frame)
+        weight = WeightMatrix.from_matrix(np.eye(2))
+        reached = verify_bound(frame, geom, weight, None, FAST)["oracle_value"]
+        too_high = BoundResult(cr_value=1.5 * reached, method="two_param")
+        with pytest.raises(InternalConsistencyError, match="undercuts"):
+            verify_bound(frame, geom, weight, too_high, FAST)

@@ -59,9 +59,11 @@ class TestGeometryInvariants:
     @given(angles, angles, seeds)
     def test_reparametrization_covariance(self, t1, t2, seed):
         rng = np.random.default_rng(seed)
+        # |det a| >= 0.2 keeps the reparametrized chart's finite-difference
+        # step a^{-1} fd_step within the absolute 1e-5 below
         a = rng.uniform(-1.0, 1.0, size=(2, 2))
-        if abs(np.linalg.det(a)) < 0.2:
-            a += np.sign(np.linalg.det(a) or 1.0) * np.eye(2)
+        while abs(np.linalg.det(a)) < 0.2:
+            a = rng.uniform(-1.0, 1.0, size=(2, 2))
         model = qubit_model()
         th = np.array([t1, t2])
         geom = geometry_at(model, th)
