@@ -6,7 +6,6 @@ horizontal (relative-phase) transport along curves.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .operators import InternalConsistencyError, ValidationError, _sqrtm_psd
 from .models import frame_at, sld_solve
@@ -254,38 +253,31 @@ def decompose_direct_sum(geom):
     """
     n_skew, s_half, _ = _normalized_skew(geom.JS, geom.Jtilde)
     m = geom.m
-    t, q = scipy.linalg.schur(n_skew, output="real")
-    # normalize block layout: scan the quasi-triangular diagonal
-    blocks = []
-    cols = []
-    i = 0
-    while i < m:
-        if i + 1 < m and abs(t[i + 1, i]) > BETA_PAIR_TOL:
-            b = t[i, i + 1]
-            c0, c1 = q[:, i].copy(), q[:, i + 1].copy()
-            if b > 0:  # enforce sign convention [[0, -beta],[beta, 0]]
-                c0, c1 = c1, c0
-                b = -b
-            blocks.append((abs(b), [c0, c1]))
-            i += 2
-        else:
-            blocks.append((None, [q[:, i].copy()]))
-            i += 1
-    # order: beta descending, zero blocks last
-    blocks.sort(key=lambda it: -(it[0] if it[0] is not None else -1.0))
-    out_blocks = []
-    pos = 0
-    for b, vecs in blocks:
-        cols.extend(vecs)
-        out_blocks.append(DirectSumBlock(indices=tuple(range(pos, pos + len(vecs))),
-                                         beta=b))
-        pos += len(vecs)
-    q_ord = np.column_stack(cols)
-    a = q_ord.T @ s_half
+    # i N is Hermitian.  An eigenvector x + i y with eigenvalue beta > 0 has
+    # N x = beta y and N y = -beta x, so sqrt(2) (x, y) is an orthonormal
+    # pair carrying the block [[0, -beta], [beta, 0]]; the kernel of the real
+    # N is real.  Betas descending, kernel last.
+    w, v = np.linalg.eigh(1j * n_skew)
+    blocks, cols = [], []
+    canon = np.zeros((m, m))
+    for b, x in zip(w[::-1], v[:, ::-1].T):
+        if b > BETA_PAIR_TOL:
+            i = len(cols)
+            blocks.append(DirectSumBlock(indices=(i, i + 1), beta=b))
+            canon[i, i + 1], canon[i + 1, i] = -b, b
+            cols += [np.sqrt(2.0) * x.real, np.sqrt(2.0) * x.imag]
+    z = v[:, np.abs(w) <= BETA_PAIR_TOL]
+    kernel = np.linalg.svd(np.hstack([z.real, z.imag]))[0][:, :m - len(cols)]
+    for c in kernel.T:
+        blocks.append(DirectSumBlock(indices=(len(cols),), beta=None))
+        cols.append(c)
+    a = np.column_stack(cols).T @ s_half
 
     # verify: A maps J^S to I and J~ to the canonical form
     a_inv = np.linalg.inv(a)
     js_new = a_inv.T @ geom.JS @ a_inv
-    if np.max(np.abs(js_new - np.eye(m))) > 1e-8:
+    jt_new = a_inv.T @ geom.Jtilde @ a_inv
+    if max(np.max(np.abs(js_new - np.eye(m))),
+           np.max(np.abs(jt_new - canon))) > 1e-8:
         raise InternalConsistencyError("direct-sum normalization failed")
-    return out_blocks, a
+    return blocks, a

@@ -12,10 +12,10 @@ from .operators import (
     LIFT_RESIDUAL_RTOL,
     SINGULAR_RTOL,
     ValidationError,
-    _check_unitary,
     hermitian_eigendecomposition,
     mixed_state,
     pure_state,
+    skew_flow,
 )
 
 __all__ = [
@@ -235,8 +235,8 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 
     The generator is S_x turned about z: sin(theta^2) S_x - cos(theta^2) S_y
     = V S_x V^dag with V = exp(-i (theta^2 - pi/2) m) and m = S_z / hbar
-    (dimensionless).  So S_x is diagonalized and checked once, here, and a
-    state costs two d x d matrix-vector products.
+    (dimensionless).  So S_x is diagonalized and checked once, here, by
+    :func:`skew_flow`, and a state costs two d x d matrix-vector products.
 
     Closed forms, with c = s^2 + s - m_z^2 (the state turns by hbar theta^1):
     J^S = 2 c diag(hbar^2, sin^2(hbar theta^1)),
@@ -250,16 +250,13 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     dim = int(round(2 * s)) + 1
     mvals = s - np.arange(dim)
     sx, _ = _spin_matrices(s, hbar)
-    w, u = hermitian_eigendecomposition(sx)
-    _check_unitary(u, "S_x eigenbasis")
-    u_adj = u.conj().T
+    flow = skew_flow(sx)
     phi0 = np.zeros(dim, dtype=complex)
     phi0[int(round(s - m_z))] = 1.0
 
     def state_at(theta):
         v = np.exp(-1j * (theta[1] - 0.5 * np.pi) * mvals)
-        c = u_adj @ (v.conj() * phi0)
-        return pure_state(v * (u @ (np.exp(1j * theta[0] * w) * c)))
+        return pure_state(v * flow(theta[0], v.conj() * phi0))
 
     # theta^1 -> theta^1 + 2 pi / hbar multiplies the state by (-1)^{2s}, and
     # (theta^1, theta^2) -> (-theta^1, theta^2 + pi) leaves it unchanged, so
@@ -302,6 +299,27 @@ def _check_leakage(vec, label):
             f"{LEAKAGE_TOL:.0e}; increase trunc_dim")
 
 
+def _fock_displacement(trunc_dim):
+    """``displace(alpha, v) = D(alpha) v``, D(alpha) = exp(alpha a^dag -
+    conj(alpha) a), on a truncated Fock space, shared by the Fock models.
+
+    D(r) = exp(i r H) with H = -i (a^dag - a) is diagonalized once, and
+    D(r e^{i psi}) = R(-psi) D(r) R(psi) with R(phi) = exp(-i phi n); this
+    is exact in the truncated space, where R(phi) a R(phi)^dag = e^{i phi} a.
+    """
+    if trunc_dim < 32:
+        raise ValidationError(f"trunc_dim must be >= 32, got {trunc_dim}")
+    a = annihilation(trunc_dim)
+    flow = skew_flow(-1j * (a.conj().T - a))
+    n = np.arange(trunc_dim)
+
+    def displace(alpha, v):
+        r = np.exp(1j * np.angle(alpha) * n)
+        return r * flow(abs(alpha), r.conj() * v)
+
+    return displace
+
+
 def zoo_squeezed(trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
                  fd_step=FD_STEP_DEFAULT):
     """Displaced squeezed vacuum |z, xi> = D(z) S(xi) |0>, 4 parameters.
@@ -310,27 +328,22 @@ def zoo_squeezed(trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
     The displacement normalization is chosen so the determinant identity of
     the coherent model comes out as |det J^S| = |det J~| =
     (4/hbar^2) sinh^2(2 theta^3); rescaling theta^1, theta^2 only rescales
-    both determinants together.  States live on a truncated Fock space; the
-    constructor rejects points where the truncation leaks.
+    both determinants together.  S(xi) |0> = R(theta^4) S(theta^3) |0>, with
+    S(r) = exp((r/2)(a^2 - a^dag^2)) diagonalized once.  States live on a
+    truncated Fock space; ``state_at`` rejects points where the truncation
+    leaks.
     """
-    if trunc_dim < 32:
-        raise ValidationError("trunc_dim must be >= 32")
-    a = annihilation(trunc_dim)
-    ad = a.conj().T
-    a2 = a @ a
-    ad2 = ad @ ad
-    vac = np.zeros(trunc_dim, dtype=complex)
-    vac[0] = 1.0
-    from scipy.linalg import expm
+    displace = _fock_displacement(trunc_dim)
+    a2 = np.linalg.matrix_power(annihilation(trunc_dim), 2)
+    squeeze = skew_flow(-0.5j * (a2 - a2.conj().T))
+    n = np.arange(trunc_dim)
+    vac = (n == 0).astype(complex)
 
     def state_at(theta):
         z = (theta[0] + 1j * theta[1]) / (2.0 * np.sqrt(hbar))
-        xi = theta[2] * np.exp(-2j * theta[3])
-        sq = expm(0.5 * (np.conj(xi) * a2 - xi * ad2))
-        disp = expm(z * ad - np.conj(z) * a)
-        v = disp @ (sq @ vac)
+        v = displace(z, np.exp(-1j * theta[3] * n) * squeeze(theta[2], vac))
         _check_leakage(v, "squeezed model")
-        return pure_state(v / np.linalg.norm(v))
+        return pure_state(v)
 
     return ParametricModel(kind="squeezed", dim=trunc_dim, m=4,
                            state_at=state_at, hbar=hbar, fd_step=fd_step)
@@ -341,26 +354,21 @@ def zoo_pm_shift(phi0=0, trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
     """Phase-space shift model, 2 parameters (x0, p0).
 
     phi(x0, p0) = exp[(i/hbar)(p0 X - x0 P)] |phi0> with X, P built from the
-    truncated ladder operator, [X, P] = i hbar.  ``phi0`` is a Fock index or
-    an explicit reference vector.
+    truncated ladder operator, [X, P] = i hbar, and ``phi0`` a Fock index n
+    in [0, trunc_dim - 2).  The generator is the displacement D(alpha) with
+    alpha = (x0 + i p0) / sqrt(2 hbar).
     """
-    a = annihilation(trunc_dim)
-    ad = a.conj().T
-    x = np.sqrt(hbar / 2.0) * (a + ad)
-    p = 1j * np.sqrt(hbar / 2.0) * (ad - a)
-    if np.isscalar(phi0):
-        ref = np.zeros(trunc_dim, dtype=complex)
-        ref[int(phi0)] = 1.0
-    else:
-        ref = np.asarray(phi0, dtype=complex).ravel()
-        ref = ref / np.linalg.norm(ref)
-    from scipy.linalg import expm
+    displace = _fock_displacement(trunc_dim)
+    if not (isinstance(phi0, (int, np.integer)) and not isinstance(phi0, bool)
+            and 0 <= phi0 < trunc_dim - 2):
+        raise ValidationError(f"pm_shift param 'n' must be an integer in "
+                              f"[0, {trunc_dim - 2}), got {phi0!r}")
+    ref = (np.arange(trunc_dim) == phi0).astype(complex)
 
     def state_at(theta):
-        gen = (theta[1] * x - theta[0] * p) / hbar
-        v = expm(1j * gen) @ ref
+        v = displace((theta[0] + 1j * theta[1]) / np.sqrt(2.0 * hbar), ref)
         _check_leakage(v, "pm-shift model")
-        return pure_state(v / np.linalg.norm(v))
+        return pure_state(v)
 
     return ParametricModel(kind="pm_shift", dim=trunc_dim, m=2,
                            state_at=state_at, hbar=hbar, fd_step=fd_step)
@@ -417,11 +425,10 @@ def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     h = np.asarray(h, dtype=complex)
     given = np.asarray(psi0, dtype=complex).ravel()
     psi0 = given / np.linalg.norm(given)
-    w, u = hermitian_eigendecomposition(h)
-    coeff = u.conj().T @ psi0
+    flow = skew_flow(h)
 
     def state_at(theta):
-        return pure_state(u @ (np.exp(-1j * w * theta[0] / hbar) * coeff))
+        return pure_state(flow(-theta[0] / hbar, psi0))
 
     mean = np.vdot(psi0, h @ psi0).real
     var = (np.vdot(psi0, h @ h @ psi0).real - mean * mean)

@@ -15,6 +15,7 @@ __all__ = [
     "InternalConsistencyError",
     "as_hermitian",
     "hermitian_eigendecomposition",
+    "skew_flow",
     "matrix_exponential_skew",
     "gram_schmidt_real_coefficients",
     "QuantumState",
@@ -124,11 +125,22 @@ def _check_unitary(v, what):
         raise InternalConsistencyError(f"{what} deviates from unitarity")
 
 
-def matrix_exponential_skew(h, scale=1.0):
-    """Unitary ``exp(i * scale * H)`` for Hermitian ``H`` via eigendecomposition."""
+def skew_flow(h):
+    """``flow(t, v) = exp(i t H) v`` for Hermitian ``H``, diagonalized and
+    checked once; ``v`` is a vector or a matrix of column vectors."""
     w, u = hermitian_eigendecomposition(h)
-    ew = np.exp(1j * scale * w)
-    v = (u * ew) @ u.conj().T
+    _check_unitary(u, "eigenbasis")
+    u_adj = u.conj().T
+
+    def flow(t, v):
+        return u @ (np.exp(1j * t * w) * (u_adj @ v).T).T
+
+    return flow
+
+
+def matrix_exponential_skew(h, scale=1.0):
+    """Unitary ``exp(i * scale * H)`` for Hermitian ``H``."""
+    v = skew_flow(h)(scale, np.eye(np.shape(h)[0]))
     _check_unitary(v, "exp(iH)")
     return v
 

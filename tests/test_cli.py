@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -169,6 +171,27 @@ class TestErrors:
                           "restarts=0"),
         "negative_steps": ("oracle", {}, None, ["--steps", "-1"],
                            "local_steps=-1"),
+        "pm_shift_n_too_large": ("geometry", {
+            "kind": "pm_shift", "params": {"n": 100}, "trunc_dim": 64,
+            "theta": [0.1, 0.2]}, None, [], "'n'"),
+        "pm_shift_n_vector": ("geometry", {
+            "kind": "pm_shift", "params": {"n": [1, 0]},
+            "theta": [0.1, 0.2]}, None, [], "'n'"),
+        "pm_shift_n_fractional": ("geometry", {
+            "kind": "pm_shift", "params": {"n": 1.7},
+            "theta": [0.1, 0.2]}, None, [], "'n'"),
+        "pm_shift_n_in_top_levels": ("geometry", {
+            "kind": "pm_shift", "params": {"n": 62}, "trunc_dim": 64,
+            "theta": [0.1, 0.2]}, None, [], "'n'"),
+        "pm_shift_negative_n": ("geometry", {
+            "kind": "pm_shift", "params": {"n": -1},
+            "theta": [0.1, 0.2]}, None, [], "'n'"),
+        "pm_shift_zero_trunc_dim": ("geometry", {
+            "kind": "pm_shift", "params": {"n": 1}, "trunc_dim": 0,
+            "theta": [0.1, 0.2]}, None, [], "trunc_dim"),
+        "squeezed_small_trunc_dim": ("geometry", {
+            "kind": "squeezed", "trunc_dim": 31,
+            "theta": [0.1, 0.2, 0.3, 0.4]}, None, [], "trunc_dim"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -391,3 +414,17 @@ class TestOneFramePerCommand:
                            "--seed", "5", "--format", "json"]) == 0
         json.loads(capsys.readouterr().out)
         assert counts == {"tangents": 1, "info_geometry": 1}
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: the library and the CLI run on numpy
+    import qest
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qest.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import sys, qest, qest.cli; print(qest.__file__); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == [qest.__file__, "[]"]

@@ -182,6 +182,29 @@ class TestDirectSum:
         a_inv = np.linalg.inv(a)
         js_new = a_inv.T @ geom.JS @ a_inv
         assert np.max(np.abs(js_new - np.eye(4))) <= 1e-8
+        canon = np.zeros((4, 4))
+        canon[:2, :2] = skew2(0.9)
+        canon[2:, 2:] = skew2(0.2)
+        jt_new = a_inv.T @ geom.Jtilde @ a_inv
+        assert np.max(np.abs(jt_new - canon)) <= 1e-8
+
+    def test_kernel_blocks_last(self):
+        # one pair and a two-dimensional kernel, mixed by a rotation
+        jt = np.zeros((4, 4))
+        jt[1:3, 1:3] = skew2(0.6)
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        model, theta = synthetic_lift_model(q.T @ jt @ q, dim=6)
+        geom = geometry_at(model, theta)
+        blocks, a = decompose_direct_sum(geom)
+        assert [b.indices for b in blocks] == [(0, 1), (2,), (3,)]
+        assert abs(blocks[0].beta - 0.6) <= 1e-10
+        assert blocks[1].beta is None and blocks[2].beta is None
+        a_inv = np.linalg.inv(a)
+        canon = np.zeros((4, 4))
+        canon[:2, :2] = skew2(0.6)
+        assert np.max(np.abs(a_inv.T @ geom.Jtilde @ a_inv - canon)) <= 1e-8
+        assert np.max(np.abs(a_inv.T @ geom.JS @ a_inv - np.eye(4))) <= 1e-8
 
     def test_squeezed_two_coherent_blocks(self):
         geom = geometry_at(zoo_squeezed(trunc_dim=64),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import great_circle_model
 from qest.models import (
@@ -19,7 +20,7 @@ from qest.models import (
     zoo_time_evolution,
 )
 from qest.geometry import info_geometry
-from qest.operators import ValidationError, matrix_exponential_skew, pure_state
+from qest.operators import ValidationError, pure_state
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -162,7 +163,7 @@ class TestSpinCoherent:
             phi0[int(round(s - m_z))] = 1.0
             for th in thetas:
                 gen = np.sin(th[1]) * sx - np.cos(th[1]) * sy
-                ref = pure_state(matrix_exponential_skew(gen, th[0]) @ phi0)
+                ref = pure_state(expm(1j * th[0] * gen) @ phi0)
                 dev = np.max(np.abs(model.state(th).vector - ref.vector))
                 assert dev <= 1e-13, (m_z, th, dev)
 
@@ -223,7 +224,7 @@ class TestSqueezed:
             x0 = np.sqrt(2 * hbar) * z.real
             p0 = np.sqrt(2 * hbar) * z.imag
             gen = (p0 * x_op - x0 * p_op) / hbar
-            return pure_state(matrix_exponential_skew(gen, 1.0) @ vac)
+            return pure_state(expm(1j * gen) @ vac)
 
         sub = ParametricModel(kind="displaced", dim=64, m=2,
                               state_at=state_at)
@@ -243,6 +244,23 @@ class TestSqueezed:
         with pytest.raises(ValidationError):
             frame_at(zoo_squeezed(trunc_dim=32), np.array([0.0, 0.0, 2.5, 0.0]))
 
+    @pytest.mark.parametrize("trunc_dim", [32, 64, 128])
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
+    def test_state_matches_expm(self, trunc_dim, hbar):
+        # reference: D(z) S(xi) |0> from the dense generators
+        a = annihilation(trunc_dim)
+        ad = a.conj().T
+        model = zoo_squeezed(trunc_dim=trunc_dim, hbar=hbar)
+        # theta^4 negative, in (0, pi) and beyond pi
+        for th in ([0.3, -0.2, 0.25, -2.1], [-0.4, 0.1, 0.3, 3.7],
+                   [0.2, 0.35, 0.15, 0.4], [0.1, 0.0, 0.2, -5.3]):
+            z = (th[0] + 1j * th[1]) / (2.0 * np.sqrt(hbar))
+            xi = th[2] * np.exp(-2j * th[3])
+            sq = expm(0.5 * (np.conj(xi) * a @ a - xi * ad @ ad))
+            ref = expm(z * ad - np.conj(z) * a) @ sq[:, 0]
+            dev = np.max(np.abs(model.state(np.array(th)).vector - ref))
+            assert dev <= 1e-13, (th, dev)
+
 
 class TestPmShift:
     def test_vacuum_values(self):
@@ -255,6 +273,24 @@ class TestPmShift:
         geom = info_geometry(frame_at(zoo_pm_shift(1, trunc_dim=64),
                                       np.array([0.0, 0.0])))
         assert abs(geom.beta_pairs[0] - 1.0 / 3.0) <= 1e-6
+
+    @pytest.mark.parametrize("trunc_dim", [32, 64, 128])
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_state_matches_expm(self, trunc_dim, hbar, n):
+        # reference: exp[(i/hbar)(p0 X - x0 P)] |n> from the dense generator
+        a = annihilation(trunc_dim)
+        x = np.sqrt(hbar / 2.0) * (a + a.conj().T)
+        p = 1j * np.sqrt(hbar / 2.0) * (a.conj().T - a)
+        model = zoo_pm_shift(n, trunc_dim=trunc_dim, hbar=hbar)
+        for th in ([0.4, -0.3], [-0.5, 0.6], [-0.2, -0.45], [0.0, 0.3]):
+            ref = expm(1j * (th[1] * x - th[0] * p) / hbar)[:, n]
+            dev = np.max(np.abs(model.state(np.array(th)).vector - ref))
+            assert dev <= 1e-13, (th, dev)
+
+    def test_largest_fock_index(self):
+        model = zoo_pm_shift(61, trunc_dim=64)
+        assert abs(model.state(np.zeros(2)).vector[61] - 1.0) <= 1e-15
 
 
 class TestCanonical:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qest.operators import (
     NotRealGramError,
@@ -10,6 +11,7 @@ from qest.operators import (
     matrix_exponential_skew,
     mixed_state,
     pure_state,
+    skew_flow,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,6 +47,19 @@ class TestEigendecomposition:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestSkewFlow:
+    def test_matches_expm_on_vectors_and_matrices(self):
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = z + z.conj().T
+        flow = skew_flow(h)
+        vs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        for t in (-1.7, 0.0, 0.4, 5.0):
+            ref = expm(1j * t * h)
+            assert np.max(np.abs(flow(t, vs) - ref @ vs)) <= 1e-12
+            assert np.max(np.abs(flow(t, vs[:, 0]) - ref @ vs[:, 0])) <= 1e-12
 
 
 class TestMatrixExponential:
