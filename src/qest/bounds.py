@@ -18,13 +18,7 @@ from .operators import (
     _sqrtm_psd,
     as_hermitian,
 )
-from .geometry import (
-    COHERENT_BETA_TOL,
-    QUASI_CLASSICAL_RTOL,
-    InfoGeometry,
-    _normalized_skew,
-    decompose_direct_sum,
-)
+from .geometry import InfoGeometry, decompose_direct_sum
 
 __all__ = [
     "WeightMatrix",
@@ -183,8 +177,8 @@ def cr_two_param(geom, weight):
     if geom.m != 2:
         raise ValidationError("cr_two_param requires a 2-parameter model")
     g = weight.G
-    jt_n, s_half, s_inv = _normalized_skew(geom.JS, geom.Jtilde)
-    beta_signed = jt_n[1, 0]
+    s_half, s_inv = geom.S_half, geom.S_inv_half
+    beta_signed = geom.N[1, 0]
     beta = abs(beta_signed)
     g_n = s_inv @ g @ s_inv
     g_n = 0.5 * (g_n + g_n.T)
@@ -200,7 +194,7 @@ def cr_two_param(geom, weight):
         if g1 <= 0:
             return BoundResult(cr_value=0.0, method="two_param",
                                note="zero weight")
-        if beta >= 1.0 - COHERENT_BETA_TOL:
+        if geom.coherent:
             return BoundResult(cr_value=float(value), method="two_param",
                                attained="infimum_only",
                                note="rank-one weight on a maximally "
@@ -213,7 +207,7 @@ def cr_two_param(geom, weight):
         return BoundResult(cr_value=float(value), method="two_param",
                            V_opt=v_opt)
 
-    if beta >= 1.0 - COHERENT_BETA_TOL:
+    if geom.coherent:
         # classified coherent: use the exact beta = 1 curve (the bisection
         # bracket degenerates as beta -> 1 and loses accuracy)
         beta_signed = np.copysign(1.0, beta_signed) if beta_signed else 1.0
@@ -257,6 +251,8 @@ def boundary_curve(beta, samples=100, x_range=None):
     beta = min(beta, 1.0)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
+    if x_range is not None and not (np.isfinite(x_range) and x_range > 0):
+        raise ValidationError(f"x_range must be finite and > 0, got {x_range}")
     c = np.sqrt(max(0.0, 1.0 - beta * beta))
 
     if beta == 0.0:
@@ -372,10 +368,7 @@ def cr_direct_sum(geom, weight):
             total += gb[0, 0] * 1.0  # normalized 1-parameter block: J^S = 1
             v_new[idx[0], idx[0]] = 1.0
             continue
-        sub = InfoGeometry(JS=np.eye(2), Jtilde=jt_new[np.ix_(idx, idx)],
-                           beta_pairs=(blk.beta,), n_zero=0,
-                           quasi_classical=blk.beta <= QUASI_CLASSICAL_RTOL,
-                           coherent=abs(blk.beta - 1) <= COHERENT_BETA_TOL)
+        sub = InfoGeometry(JS=np.eye(2), Jtilde=jt_new[np.ix_(idx, idx)])
         res = cr_two_param(sub, WeightMatrix.from_matrix(gb))
         total += res.cr_value
         if res.attained == "infimum_only":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .operators import ORACLE_SLACK, InternalConsistencyError, ValidationError
 from .models import frame_at, load_model_spec
-from .geometry import COHERENT_BETA_TOL, coherency_det_check, info_geometry
+from .geometry import InfoGeometry, coherency_det_check, info_geometry
 from .bounds import (
     WeightMatrix,
     attainable_bound,
@@ -332,6 +332,8 @@ def _cmd_time_energy(args):
         raise ValidationError(
             "time-energy requires a model spec of kind 'time_evolution'")
     t0 = args.t0 if args.t0 is not None else float(theta[0])
+    if not np.isfinite(t0):
+        raise ValidationError(f"t0 must be finite, got {t0}")
     rep = time_energy_report(model.meta["h"], model.meta["psi0"], args.dt,
                              args.n, hbar=model.hbar)
     report = {
@@ -362,7 +364,6 @@ def _selftest_checks():
     from .models import (zoo_canonical, zoo_pm_shift, zoo_spin_coherent,
                          zoo_squeezed)
     from .bounds import cr_general_js
-    from .geometry import InfoGeometry
 
     # spin-coherent closed forms
     rng = np.random.default_rng(11)
@@ -387,10 +388,7 @@ def _selftest_checks():
     for beta in np.linspace(0.0, 1.0, 11):
         target = 4.0 / (1.0 + np.sqrt(1.0 - beta**2))
         jt = np.array([[0.0, -beta], [beta, 0.0]])
-        geom = InfoGeometry(JS=np.eye(2), Jtilde=jt,
-                            beta_pairs=(float(beta),), n_zero=0,
-                            quasi_classical=beta == 0.0,
-                            coherent=abs(beta - 1) <= COHERENT_BETA_TOL)
+        geom = InfoGeometry(JS=np.eye(2), Jtilde=jt)
         val = cr_two_param(geom, WeightMatrix.from_matrix(np.eye(2))).cr_value
         gen = cr_general_js(geom).cr_value
         worst = max(worst, abs(val - target), abs(gen - target))
@@ -400,8 +398,7 @@ def _selftest_checks():
 
     # coherent cross-check value 9
     jt = np.array([[0.0, -1.0], [1.0, 0.0]])
-    geom = InfoGeometry(JS=np.eye(2), Jtilde=jt, beta_pairs=(1.0,), n_zero=0,
-                        quasi_classical=False, coherent=True)
+    geom = InfoGeometry(JS=np.eye(2), Jtilde=jt)
     w = WeightMatrix.from_matrix(np.diag([1.0, 4.0]))
     v1 = cr_two_param(geom, w).cr_value
     v2 = cr_coherent(geom, w).cr_value

@@ -3,7 +3,7 @@ partner J~, the beta-spectrum classification, Uhlmann curvature, and
 horizontal (relative-phase) transport along curves.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,19 +30,43 @@ CURVATURE_STEP = 1e-4
 
 @dataclass(frozen=True)
 class InfoGeometry:
-    """J^S, J~ and derived classification at one parameter point.
+    """J^S, J~ and the classification derived from them at one point.
 
-    ``beta_pairs`` lists one beta per 2-dimensional rotation block of
-    J^{S-1} J~ (the +-i*beta eigenvalue pairs); ``n_zero`` counts the
-    remaining zero eigenvalues, so 2*len(beta_pairs) + n_zero = m.
+    Only ``JS`` and ``Jtilde`` are given; the rest is derived once, here:
+    ``N`` = J^{S-1/2} J~ J^{S-1/2} with the roots ``S_half`` = J^{S1/2} and
+    ``S_inv_half`` = J^{S-1/2}; ``beta_pairs`` lists one beta per
+    2-dimensional rotation block of J^{S-1} J~ (the +-i*beta eigenvalue
+    pairs), and ``n_zero`` counts the remaining zero eigenvalues, so
+    2*len(beta_pairs) + n_zero = m.
     """
 
     JS: np.ndarray
     Jtilde: np.ndarray
-    beta_pairs: tuple
-    n_zero: int
-    quasi_classical: bool
-    coherent: bool
+    N: np.ndarray = field(init=False)
+    S_half: np.ndarray = field(init=False)
+    S_inv_half: np.ndarray = field(init=False)
+    beta_pairs: tuple = field(init=False)
+    n_zero: int = field(init=False)
+    quasi_classical: bool = field(init=False)
+    coherent: bool = field(init=False)
+
+    def __post_init__(self):
+        js, jt = self.JS, self.Jtilde
+        m = js.shape[0]
+        n_skew, s_half, s_inv_half = _normalized_skew(js, jt)
+        beta_pairs, n_zero = _pair_betas(n_skew, m)
+        if beta_pairs and beta_pairs[0] > 1.0 + 1e-9:
+            raise InternalConsistencyError(
+                f"beta = {beta_pairs[0]!r} exceeds 1; invalid frame")
+        quasi = np.max(np.abs(jt)) <= (QUASI_CLASSICAL_RTOL
+                                       * max(np.max(np.abs(js)), 1e-300))
+        coherent = (m % 2 == 0 and len(beta_pairs) == m // 2 and
+                    all(abs(b - 1.0) <= COHERENT_BETA_TOL for b in beta_pairs))
+        derived = {"N": n_skew, "S_half": s_half, "S_inv_half": s_inv_half,
+                   "beta_pairs": beta_pairs, "n_zero": n_zero,
+                   "quasi_classical": bool(quasi), "coherent": bool(coherent)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def m(self):
@@ -101,21 +125,8 @@ def info_geometry(frame):
         for i in range(m):
             for j in range(m):
                 c[i, j] = np.trace(frame.rho @ frame.slds[i] @ frame.slds[j])
-    js = 0.5 * (c.real + c.real.T)
-    jt = 0.5 * (c.imag - c.imag.T)
-
-    n_skew, _, _ = _normalized_skew(js, jt)
-    beta_pairs, n_zero = _pair_betas(n_skew, m)
-    if beta_pairs and beta_pairs[0] > 1.0 + 1e-9:
-        raise InternalConsistencyError(
-            f"beta = {beta_pairs[0]!r} exceeds 1; invalid frame")
-
-    quasi = np.max(np.abs(jt)) <= QUASI_CLASSICAL_RTOL * max(np.max(np.abs(js)), 1e-300)
-    coherent = (m % 2 == 0 and len(beta_pairs) == m // 2 and
-                all(abs(b - 1.0) <= COHERENT_BETA_TOL for b in beta_pairs))
-    return InfoGeometry(JS=js, Jtilde=jt, beta_pairs=beta_pairs,
-                        n_zero=n_zero, quasi_classical=bool(quasi),
-                        coherent=bool(coherent))
+    return InfoGeometry(JS=0.5 * (c.real + c.real.T),
+                        Jtilde=0.5 * (c.imag - c.imag.T))
 
 
 def geometry_at(model, theta):
@@ -251,8 +262,7 @@ def decompose_direct_sum(geom):
     Returns ``(blocks, A)`` where theta_new = A theta puts the model in the
     canonical frame: J^S_new = I and J~_new block-diagonal as above.
     """
-    n_skew, s_half, _ = _normalized_skew(geom.JS, geom.Jtilde)
-    m = geom.m
+    n_skew, s_half, m = geom.N, geom.S_half, geom.m
     # i N is Hermitian.  An eigenvector x + i y with eigenvalue beta > 0 has
     # N x = beta y and N y = -beta x, so sqrt(2) (x, y) is an orthonormal
     # pair carrying the block [[0, -beta], [beta, 0]]; the kernel of the real

@@ -19,7 +19,7 @@ from .operators import (
     gram_schmidt_real_coefficients,
 )
 from .models import _embed_frame
-from .geometry import COHERENT_BETA_TOL, _normalized_skew
+from .geometry import InfoGeometry
 from .bounds import _so2_diagonalizer
 
 __all__ = [
@@ -277,11 +277,11 @@ def optimal_vectors_two_param(frame, weight, bound):
 
     Away from maximal incompatibility the vectors stay in the span of the
     lifts: X = L V G (G - i Lambda)^{-1} with (V, Lambda) from
-    ``cr_two_param``.  When beta is within 1e-6 of 1 that matrix is (nearly)
-    singular and the optimizer genuinely needs the dilation: in normalized
-    rotated coordinates X = L'' + Y with Y orthogonal to the physical span
-    and Y*Y = V'' - L''*L''.  Both branches verify Re X*L = I, Im X*X = 0
-    and Re X*X = V before returning.
+    ``cr_two_param``.  When the lifts' geometry is coherent (beta within
+    1e-6 of 1) that matrix is (nearly) singular and the optimizer genuinely
+    needs the dilation: in normalized rotated coordinates X = L'' + Y with
+    Y orthogonal to the physical span and Y*Y = V'' - L''*L''.  Both
+    branches verify Re X*L = I, Im X*X = 0 and Re X*X = V before returning.
     """
     if not frame.pure or frame.m != 2:
         raise ValidationError("requires a 2-parameter pure model")
@@ -296,10 +296,10 @@ def optimal_vectors_two_param(frame, weight, bound):
 
     # normalized rotated frame data
     ll = l_e.conj().T @ l_e
-    jt_n, s_half, s_inv = _normalized_skew(ll.real, ll.imag)
-    beta = abs(jt_n[1, 0])
+    lifted = InfoGeometry(JS=ll.real, Jtilde=ll.imag)
+    s_half, s_inv = lifted.S_half, lifted.S_inv_half
 
-    if beta < 1.0 - COHERENT_BETA_TOL:
+    if not lifted.coherent:
         if bound.Lambda is None:
             raise ValidationError("bound carries no Lagrange multiplier")
         x_e = l_e @ v_opt @ g @ np.linalg.inv(g - 1j * bound.Lambda)

@@ -424,7 +424,11 @@ def zoo_time_evolution(h, psi0, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     normalized psi0."""
     h = np.asarray(h, dtype=complex)
     given = np.asarray(psi0, dtype=complex).ravel()
-    psi0 = given / np.linalg.norm(given)
+    norm = np.linalg.norm(given)
+    if not norm > 0:
+        raise ValidationError("time_evolution param 'psi0' must be a nonzero "
+                              "vector")
+    psi0 = given / norm
     flow = skew_flow(h)
 
     def state_at(theta):
@@ -457,8 +461,11 @@ def explicit_model(state, tangent_vectors, hbar=1.0, pure=True):
 # model-spec files
 # ---------------------------------------------------------------------------
 
-def _complex_array(pairs):
+def _complex_array(pairs, name):
     arr = np.asarray(pairs, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"model spec param {name!r} must hold finite "
+                              "[re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -511,16 +518,17 @@ def load_model_spec(spec):
             model = zoo_pm_shift(params.get("n", 0), trunc_dim=trunc,
                                  hbar=hbar, fd_step=fd_step)
         elif kind == "canonical":
-            model = zoo_canonical(params["energies"], k_b=k_b, hbar=hbar,
-                                  fd_step=fd_step)
+            model = zoo_canonical(_finite_floats(params["energies"],
+                                                 "energies"),
+                                  k_b=k_b, hbar=hbar, fd_step=fd_step)
         elif kind == "time_evolution":
-            model = zoo_time_evolution(_complex_array(params["h"]),
-                                       _complex_array(params["psi0"]),
+            model = zoo_time_evolution(_complex_array(params["h"], "h"),
+                                       _complex_array(params["psi0"], "psi0"),
                                        hbar=hbar, fd_step=fd_step)
         elif kind == "explicit":
             model = explicit_model(
-                _complex_array(params["state"]),
-                [_complex_array(t) for t in params["tangents"]],
+                _complex_array(params["state"], "state"),
+                [_complex_array(t, "tangents") for t in params["tangents"]],
                 hbar=hbar, pure=params.get("pure", True))
         else:
             raise ValidationError(f"unknown model kind: {kind!r}")

@@ -212,7 +212,7 @@ class QuantumState:
 def pure_state(vec):
     vec = np.asarray(vec, dtype=complex).ravel()
     nrm2 = np.vdot(vec, vec).real
-    if abs(nrm2 - 1.0) > NORM_TOL * max(len(vec), 1):
+    if not abs(nrm2 - 1.0) <= NORM_TOL * max(len(vec), 1):
         raise ValidationError(f"pure state norm^2 = {nrm2!r}, expected 1")
     return QuantumState(kind="pure", dim=len(vec), vector=vec)
 
@@ -220,7 +220,7 @@ def pure_state(vec):
 def mixed_state(rho, require_faithful=False):
     rho = as_hermitian(rho)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > NORM_TOL * max(rho.shape[0], 1):
+    if not abs(tr - 1.0) <= NORM_TOL * max(rho.shape[0], 1):
         raise ValidationError(f"density matrix trace = {tr!r}, expected 1")
     w = np.linalg.eigvalsh(rho)
     if w[0] < PSD_FLOOR:

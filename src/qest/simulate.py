@@ -221,6 +221,10 @@ def time_energy_report(h, psi0, dt, n, hbar=1.0):
     quantities J^S = 4 <dH^2>/hbar^2 and J_Mms (their equality is the
     optimality of M_ms at t0).
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValidationError(f"dt must be finite and > 0, got {dt}")
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
     h = np.asarray(h, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex).ravel()
     psi0 = psi0 / np.linalg.norm(psi0)

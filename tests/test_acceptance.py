@@ -48,13 +48,8 @@ def minvv(beta):
 
 
 def canonical_geom(beta):
-    return InfoGeometry(
-        JS=np.eye(2),
-        Jtilde=np.array([[0.0, -beta], [beta, 0.0]]),
-        beta_pairs=(beta,) if beta > 0 else (),
-        n_zero=0 if beta > 0 else 2,
-        quasi_classical=beta == 0.0,
-        coherent=abs(beta - 1.0) <= 1e-6)
+    return InfoGeometry(JS=np.eye(2),
+                        Jtilde=np.array([[0.0, -beta], [beta, 0.0]]))
 
 
 def test_criterion_01_spin_coherent_closed_forms():

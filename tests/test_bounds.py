@@ -23,9 +23,7 @@ def make_geom(beta, js=None, jt_sign=1.0):
     w, u = np.linalg.eigh(js)
     s_half = (u * np.sqrt(w)) @ u.T
     jt = s_half @ jt_n @ s_half
-    return InfoGeometry(JS=js, Jtilde=jt, beta_pairs=(abs(beta),), n_zero=0,
-                        quasi_classical=beta == 0.0,
-                        coherent=abs(abs(beta) - 1.0) <= 1e-6)
+    return InfoGeometry(JS=js, Jtilde=jt)
 
 
 def minvv(beta):
@@ -236,8 +234,7 @@ class TestCrGeneralJs:
         jt = np.zeros((4, 4))
         jt[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
         jt[2:, 2:] = [[0.0, -0.5], [0.5, 0.0]]
-        geom = InfoGeometry(JS=np.eye(4), Jtilde=jt, beta_pairs=(1.0, 0.5),
-                            n_zero=0, quasi_classical=False, coherent=False)
+        geom = InfoGeometry(JS=np.eye(4), Jtilde=jt)
         expect = 4.0 + 4.0 / (1.0 + np.sqrt(0.75))
         assert abs(cr_general_js(geom).cr_value - expect) <= 1e-12
 
@@ -247,10 +244,7 @@ class TestCrDirectSum:
         jt = np.zeros((4, 4))
         jt[:2, :2] = [[0.0, -b1], [b1, 0.0]]
         jt[2:, 2:] = [[0.0, -b2], [b2, 0.0]]
-        return InfoGeometry(JS=np.eye(4), Jtilde=jt,
-                            beta_pairs=tuple(sorted([b1, b2], reverse=True)),
-                            n_zero=0, quasi_classical=(b1 == b2 == 0.0),
-                            coherent=False)
+        return InfoGeometry(JS=np.eye(4), Jtilde=jt)
 
     def test_additivity(self):
         geom = self._two_block_geom(0.6, 0.0)

@@ -22,18 +22,31 @@ def spin_spec(tmp_path):
     return str(path)
 
 
+TE_SPEC = {
+    "kind": "time_evolution",
+    "params": {
+        "h": [[[0.0, 0.0], [0.65, 0.0]], [[0.65, 0.0], [0.0, 0.0]]],
+        "psi0": [[1.0, 0.0], [0.0, 0.0]],
+    },
+    "theta": [0.0],
+}
+NAN, INF = float("nan"), float("inf")
+
+
+def _explicit(state=((1.0, 0.0), (0.0, 0.0)),
+              tangent=((0.0, 0.0), (0.5, 0.0))):
+    return {"kind": "explicit", "theta": [0.0],
+            "params": {"state": state, "tangents": [tangent]}}
+
+
+def _time_evolution(**params):
+    return {**TE_SPEC, "params": {**TE_SPEC["params"], **params}}
+
+
 @pytest.fixture
 def te_spec(tmp_path):
-    spec = {
-        "kind": "time_evolution",
-        "params": {
-            "h": [[[0.0, 0.0], [0.65, 0.0]], [[0.65, 0.0], [0.0, 0.0]]],
-            "psi0": [[1.0, 0.0], [0.0, 0.0]],
-        },
-        "theta": [0.0],
-    }
     path = tmp_path / "te.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(TE_SPEC))
     return str(path)
 
 
@@ -192,6 +205,33 @@ class TestErrors:
         "squeezed_small_trunc_dim": ("geometry", {
             "kind": "squeezed", "trunc_dim": 31,
             "theta": [0.1, 0.2, 0.3, 0.4]}, None, [], "trunc_dim"),
+        "explicit_nan_state": ("geometry", _explicit(
+            state=((NAN, 0.0), (0.0, 0.0))), None, [], "'state'"),
+        "explicit_nan_tangent": ("bound", _explicit(
+            tangent=((0.0, 0.0), (NAN, 0.0))), None, [], "'tangents'"),
+        "explicit_inf_tangent": ("measurement", _explicit(
+            tangent=((0.0, 0.0), (INF, 0.0))), None, [], "'tangents'"),
+        "time_evolution_zero_psi0": ("geometry", _time_evolution(
+            psi0=[[0.0, 0.0], [0.0, 0.0]]), None, [], "'psi0'"),
+        "time_evolution_nan_h": ("geometry", _time_evolution(
+            h=[[[NAN, 0.0], [0.65, 0.0]], [[0.65, 0.0], [0.0, 0.0]]]),
+            None, [], "'h'"),
+        "canonical_nan_energy": ("geometry", {
+            "kind": "canonical", "params": {"energies": [0.0, NAN, 1.3]},
+            "theta": [1.0]}, None, [], "energies"),
+        "time_energy_nan_dt": ("time-energy", TE_SPEC, None,
+                               ["--dt", "nan", "--n", "5"], "dt"),
+        "time_energy_inf_dt": ("time-energy", TE_SPEC, None,
+                               ["--dt", "inf", "--n", "5"], "dt"),
+        "time_energy_zero_dt": ("time-energy", TE_SPEC, None,
+                                ["--dt", "0", "--n", "5"], "dt"),
+        "time_energy_zero_n": ("time-energy", TE_SPEC, None,
+                               ["--dt", "0.1", "--n", "0"], "n must"),
+        "time_energy_negative_n": ("time-energy", TE_SPEC, None,
+                                   ["--dt", "0.1", "--n=-5"], "n must"),
+        "time_energy_nan_t0": ("time-energy", TE_SPEC, None,
+                               ["--dt", "0.1", "--n", "5", "--t0", "nan"],
+                               "t0"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -208,6 +248,14 @@ class TestErrors:
         assert err.startswith("error:")
         assert field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x_range", ["nan", "inf", "0", "-1"])
+    def test_bad_x_range_exits_2(self, x_range, capsys):
+        assert run(["boundary", "--beta", "0.6", "--samples", "5",
+                    "--x-range", x_range]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "x_range" in err
 
 
 class TestSeeding:

@@ -8,6 +8,8 @@ from conftest import (
     synthetic_lift_model,
 )
 from qest.geometry import (
+    InfoGeometry,
+    _normalized_skew,
     coherency_det_check,
     decompose_direct_sum,
     geometry_at,
@@ -21,7 +23,11 @@ from qest.models import (
     zoo_spin_coherent,
     zoo_squeezed,
 )
-from qest.operators import ValidationError, pure_state
+from qest.operators import (
+    InternalConsistencyError,
+    ValidationError,
+    pure_state,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -61,9 +67,14 @@ class TestInfoGeometry:
         assert all(b <= 1.0 + 1e-9 for b in geom.beta_pairs)
 
     def test_singular_js_rejected(self):
-        from qest.geometry import InfoGeometry, _normalized_skew
         with pytest.raises(ValidationError):
             _normalized_skew(np.diag([1.0, 0.0]), skew2(0.1))
+        with pytest.raises(ValidationError):
+            InfoGeometry(np.diag([1.0, 0.0]), skew2(0.1))
+
+    def test_beta_above_one_rejected(self):
+        with pytest.raises(InternalConsistencyError, match="exceeds 1"):
+            InfoGeometry(np.eye(2), skew2(1.0 + 1e-6))
 
 
 class TestDetCheck:

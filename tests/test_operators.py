@@ -135,6 +135,8 @@ class TestStates:
     def test_pure_norm_enforced(self):
         with pytest.raises(ValidationError):
             pure_state(np.array([1.0, 1.0]))
+        with pytest.raises(ValidationError):
+            pure_state(np.array([np.nan, 0.0]))
 
     def test_mixed_validation(self):
         rho = np.diag([0.6, 0.4]).astype(complex)
@@ -142,6 +144,8 @@ class TestStates:
         assert st.kind == "mixed"
         with pytest.raises(ValidationError):
             mixed_state(np.diag([1.2, -0.2]).astype(complex))
+        with pytest.raises(ValidationError):
+            mixed_state(np.diag([np.nan, 0.5]).astype(complex))
         with pytest.raises(ValidationError):
             mixed_state(np.diag([1.0, 0.0]).astype(complex),
                         require_faithful=True)

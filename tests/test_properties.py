@@ -125,11 +125,7 @@ class TestBoundInvariants:
 
 def _geom(beta):
     from qest.geometry import InfoGeometry
-    return InfoGeometry(JS=np.eye(2), Jtilde=skew2(beta),
-                        beta_pairs=(beta,) if beta > 0 else (),
-                        n_zero=0 if beta > 0 else 2,
-                        quasi_classical=beta == 0.0,
-                        coherent=abs(beta - 1.0) <= 1e-6)
+    return InfoGeometry(JS=np.eye(2), Jtilde=skew2(beta))
 
 
 class TestMeasurementInvariants:
