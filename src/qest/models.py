@@ -16,6 +16,7 @@ from .operators import (
     mixed_state,
     pure_state,
     skew_flow,
+    unit_rows,
 )
 
 __all__ = [
@@ -47,6 +48,8 @@ class ParametricModel:
     ``state_at(theta)`` returns a :class:`QuantumState`.  Tangents are
     central finite differences by default; models that know their derivative
     in closed form may supply ``tangent_at(theta) -> list of d(state)``.
+    Pure models may supply ``states_at(thetas)``, the state vectors at a
+    (P, m) stack of points as a (P, dim) array, for :meth:`states`.
     """
 
     kind: str
@@ -56,11 +59,23 @@ class ParametricModel:
     hbar: float = 1.0
     fd_step: float = FD_STEP_DEFAULT
     tangent_at: callable = None
+    states_at: callable = None
     pure: bool = True
     meta: dict = field(default_factory=dict)
 
     def state(self, theta):
         return self.state_at(np.asarray(theta, dtype=float))
+
+    def states(self, thetas):
+        """Unit state vectors of a pure model at a (P, m) stack of points,
+        one row each: ``states_at`` when the model has it, else the stacked
+        ``state_at`` vectors."""
+        if not self.pure:
+            raise ValidationError("states needs a pure model")
+        thetas = np.asarray(thetas, dtype=float)
+        if self.states_at is None:
+            return np.array([self.state_at(t).vector for t in thetas])
+        return unit_rows(self.states_at(thetas))
 
 
 @dataclass(frozen=True)
@@ -237,6 +252,8 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     = V S_x V^dag with V = exp(-i (theta^2 - pi/2) m) and m = S_z / hbar
     (dimensionless).  So S_x is diagonalized and checked once, here, by
     :func:`skew_flow`, and a state costs two d x d matrix-vector products.
+    ``states_at`` evaluates one point or a stack of them, and ``state_at``
+    is its one-point case.
 
     Closed forms, with c = s^2 + s - m_z^2 (the state turns by hbar theta^1):
     J^S = 2 c diag(hbar^2, sin^2(hbar theta^1)),
@@ -254,9 +271,12 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     phi0 = np.zeros(dim, dtype=complex)
     phi0[int(round(s - m_z))] = 1.0
 
+    def states_at(thetas):
+        v = np.exp(-1j * (thetas[..., 1:] - 0.5 * np.pi) * mvals)
+        return v * flow(thetas[..., 0], (v.conj() * phi0).T).T
+
     def state_at(theta):
-        v = np.exp(-1j * (theta[1] - 0.5 * np.pi) * mvals)
-        return pure_state(v * flow(theta[0], v.conj() * phi0))
+        return pure_state(states_at(theta))
 
     # theta^1 -> theta^1 + 2 pi / hbar multiplies the state by (-1)^{2s}, and
     # (theta^1, theta^2) -> (-theta^1, theta^2 + pi) leaves it unchanged, so
@@ -279,8 +299,8 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
         return np.array([t1, t2])
 
     return ParametricModel(kind="spin_coherent", dim=dim, m=2,
-                           state_at=state_at, hbar=hbar, fd_step=fd_step,
-                           meta={"canonicalize": canonicalize})
+                           state_at=state_at, states_at=states_at, hbar=hbar,
+                           fd_step=fd_step, meta={"canonicalize": canonicalize})
 
 
 def annihilation(n):
@@ -450,6 +470,10 @@ def explicit_model(state, tangent_vectors, hbar=1.0, pure=True):
     "explicit" model-spec kind and by tests.
     """
     tvs = [np.asarray(t, dtype=complex) for t in tangent_vectors]
+    if not all(np.all(np.isfinite(a))
+               for a in [np.asarray(state, dtype=complex)] + tvs):
+        raise ValidationError("explicit model state and tangents must be "
+                              "finite")
     st = (pure_state(state) if pure
           else mixed_state(state, require_faithful=True))
     return ParametricModel(kind="explicit", dim=st.dim, m=len(tvs),

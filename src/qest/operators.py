@@ -20,6 +20,7 @@ __all__ = [
     "gram_schmidt_real_coefficients",
     "QuantumState",
     "pure_state",
+    "unit_rows",
     "mixed_state",
     "Purification",
 ]
@@ -66,7 +67,7 @@ def as_hermitian(a):
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     defect = np.max(np.abs(a - a.conj().T))
     scale = max(1.0, np.max(np.abs(a)))
-    if defect > HERMITIAN_RTOL * scale:
+    if not defect <= HERMITIAN_RTOL * scale:    # NaN entries fail too
         raise ValidationError(
             f"matrix is not Hermitian: max |A - A^dag| = {defect:.3e}")
     return 0.5 * (a + a.conj().T)
@@ -127,13 +128,20 @@ def _check_unitary(v, what):
 
 def skew_flow(h):
     """``flow(t, v) = exp(i t H) v`` for Hermitian ``H``, diagonalized and
-    checked once; ``v`` is a vector or a matrix of column vectors."""
+    checked once; ``v`` is a vector or a matrix of column vectors, and ``t``
+    a scalar or one time per column.  A column costs the same two
+    matrix-vector products as a vector, so its bits do not depend on the
+    columns that come with it."""
     w, u = hermitian_eigendecomposition(h)
     _check_unitary(u, "eigenbasis")
     u_adj = u.conj().T
 
     def flow(t, v):
-        return u @ (np.exp(1j * t * w) * (u_adj @ v).T).T
+        if v.ndim == 1:
+            return u @ (np.exp(1j * t * w) * (u_adj @ v))
+        c = (u_adj @ v.T[..., None])[..., 0]
+        c = np.exp(1j * np.multiply.outer(t, w)) * c
+        return (u @ c[..., None])[..., 0].T
 
     return flow
 
@@ -215,6 +223,18 @@ def pure_state(vec):
     if not abs(nrm2 - 1.0) <= NORM_TOL * max(len(vec), 1):
         raise ValidationError(f"pure state norm^2 = {nrm2!r}, expected 1")
     return QuantumState(kind="pure", dim=len(vec), vector=vec)
+
+
+def unit_rows(rows):
+    """``rows`` (one state vector per row) as a complex array, each row held
+    to :func:`pure_state`'s norm test."""
+    rows = np.asarray(rows, dtype=complex)
+    nrm2 = np.einsum("pa,pa->p", rows.conj(), rows).real
+    dev = np.abs(nrm2 - 1.0)
+    if not dev.max() <= NORM_TOL * max(rows.shape[1], 1):
+        raise ValidationError(
+            f"pure state norm^2 = {nrm2[np.argmax(dev)]!r}, expected 1")
+    return rows
 
 
 def mixed_state(rho, require_faithful=False):

@@ -2,6 +2,7 @@
 probe) and the time-energy hypothesis-testing report."""
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -58,58 +59,56 @@ def _measurement_elements(frame, geom, weight):
 
 
 def _log_likelihood_factory(model, elements):
-    """Vectorized heterogeneous log-likelihood over the recorded outcome
-    elements, an (n, d, d) array (one POVM element per past measurement)."""
+    """Batched heterogeneous log-likelihood over the recorded outcome
+    elements, an (n, d, d) array (one POVM element per past measurement):
+    ``loglik(thetas)`` maps a (P, m) stack of points to P values, with the
+    record read as an (n, d^2) matrix that meets the P outer products
+    conj(phi) (x) phi in one product."""
+    flat = elements.reshape(len(elements), -1)
 
-    def loglik(theta):
-        phi = model.state(theta).vector
-        p = np.einsum("a,nab,b->n", phi.conj(), elements, phi).real
-        return float(np.sum(np.log(np.clip(p, 1e-300, None))))
+    def loglik(thetas):
+        phis = model.states(thetas)
+        outer = (phis.conj()[:, :, None] * phis[:, None, :]).reshape(
+            len(phis), -1)
+        p = (outer @ flat.T).real
+        return np.sum(np.log(np.maximum(p, 1e-300)), axis=1)
 
     return loglik
 
 
 def _maximize(loglik, theta0, radius, grid_points):
     """Trust-region maximization: coarse grid seed, then damped Newton with
-    central finite differences, steps clipped to the region."""
+    central finite differences, steps clipped to the region.  The seed grid
+    is one batched likelihood call (the centre first, then the grid in scan
+    order; the first maximum wins), and so is each Newton stencil."""
     theta0 = np.asarray(theta0, dtype=float)
     m = len(theta0)
-    best, best_val = theta0.copy(), loglik(theta0)
+    pts = theta0[None]
     if grid_points > 1:
         axes = [np.linspace(-radius, radius, grid_points)] * m
         mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([ax.ravel() for ax in mesh], axis=1)
-        for d in pts:
-            cand = theta0 + d
-            val = loglik(cand)
-            if val > best_val:
-                best, best_val = cand, val
+        offsets = np.stack([ax.ravel() for ax in mesh], axis=1)
+        pts = np.concatenate([pts, theta0 + offsets])
+    vals = loglik(pts)
+    k = int(np.argmax(vals))
+    best, best_val = pts[k], vals[k]
 
+    # central-difference stencil: +-e_i for each i, then the four
+    # (+-e_i) + (+-e_j) for each pair i < j
     h = 1e-4
+    e = h * np.eye(m)
+    pairs = list(combinations(range(m), 2))
+    stencil = np.array(
+        [s for i in range(m) for s in (e[i], -e[i])]
+        + [s for i, j in pairs
+           for s in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])
     for _ in range(NEWTON_ITERS):
-        grad = np.zeros(m)
-        hess = np.zeros((m, m))
-        evals = {}
-
-        def f(d):
-            key = tuple(np.round(d / h).astype(int))
-            if key not in evals:
-                evals[key] = loglik(best + d)
-            return evals[key]
-
-        for i in range(m):
-            ei = np.zeros(m)
-            ei[i] = h
-            grad[i] = (f(ei) - f(-ei)) / (2 * h)
-            hess[i, i] = (f(ei) - 2 * best_val + f(-ei)) / h**2
-        for i in range(m):
-            for j in range(i + 1, m):
-                ei, ej = np.zeros(m), np.zeros(m)
-                ei[i] = h
-                ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)
-                ) / (4 * h**2)
+        f = loglik(best + stencil)
+        fp, fm = f[:2 * m:2], f[1:2 * m:2]
+        grad = (fp - fm) / (2 * h)
+        hess = np.diag((fp - 2 * best_val + fm) / h**2)
+        for (i, j), (pp, pm, mp, mm) in zip(pairs, f[2 * m:].reshape(-1, 4)):
+            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h**2)
         w = np.linalg.eigvalsh(hess)
         if w[-1] < 0:
             step = -np.linalg.solve(hess, grad)
@@ -119,7 +118,7 @@ def _maximize(loglik, theta0, radius, grid_points):
         if nrm > radius:
             step = step * (radius / nrm)
         cand = best + step
-        val = loglik(cand)
+        val = loglik(cand[None])[0]
         if val >= best_val:
             best, best_val = cand, val
         else:
@@ -147,15 +146,22 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     bound_true = cr_two_param(geom_true, weight)
     lam_min = float(np.linalg.eigvalsh(geom_true.JS)[0])
 
-    def elements_at(theta):
+    phi_true = frame_true.phi
+
+    def law(elements):
+        """The elements as one array and their outcome probabilities at
+        theta_true, clipped and normalized once per measurement."""
+        p = np.clip([np.vdot(phi_true, e @ phi_true).real for e in elements],
+                    0, None)
+        return np.array(elements), p / p.sum()
+
+    def law_at(theta):
         frame = frame_at(model, theta)
-        return _measurement_elements(frame, info_geometry(frame), weight)
+        return law(_measurement_elements(frame, info_geometry(frame), weight))
 
     theta_init = theta_true + np.array(INIT_OFFSET)
-    phi_true = frame_true.phi
-    init_elements = elements_at(theta_init)
-    true_elements = (_measurement_elements(frame_true, geom_true, weight)
-                     if cfg.fixed_measurement else None)
+    first_law = (law(_measurement_elements(frame_true, geom_true, weight))
+                 if cfg.fixed_measurement else law_at(theta_init))
 
     canonicalize = model.meta.get("canonicalize")
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
@@ -164,27 +170,23 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     excluded = 0
     for seq in seeds:
         rng = np.random.default_rng(seq)
-        elements = true_elements if cfg.fixed_measurement else init_elements
-        probs = np.array([np.vdot(phi_true, e @ phi_true).real
-                          for e in elements])
+        elements, probs = first_law
         theta_hat = theta_init.copy()
         try:
-            for i in range(1, cfg.n_samples + 1):
-                k = rng.choice(len(probs), p=np.clip(probs, 0, None)
-                               / np.clip(probs, 0, None).sum())
-                record[i - 1] = elements[k]
-                due = (i % cfg.reopt_every == 0) or (i == cfg.n_samples)
-                if not due:
-                    continue
+            i = 0
+            while i < cfg.n_samples:
+                # one refit interval: its outcomes in one draw, then the refit
+                due = min(i + cfg.reopt_every, cfg.n_samples)
+                record[i:due] = elements[rng.choice(len(probs), size=due - i,
+                                                    p=probs)]
+                i = due
                 loglik = _log_likelihood_factory(model, record[:i])
                 radius = min(3.0 / np.sqrt(i * lam_min), 0.7)
                 theta_hat = _maximize(loglik, theta_hat, radius,
                                       GRID_POINTS if i <= cfg.reopt_every
                                       else 1)
                 if not cfg.fixed_measurement and i < cfg.n_samples:
-                    elements = elements_at(theta_hat)
-                    probs = np.array([np.vdot(phi_true, e @ phi_true).real
-                                      for e in elements])
+                    elements, probs = law_at(theta_hat)
             hats.append(theta_hat if canonicalize is None
                         else canonicalize(theta_hat, theta_true))
         except (ValidationError, np.linalg.LinAlgError):

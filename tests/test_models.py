@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -192,6 +194,36 @@ class TestSpinCoherent:
             assert np.max(np.abs(b * ov / abs(ov) - a)) <= 1e-12
 
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.5])
+    @pytest.mark.parametrize("hbar", [0.7, 1.0, 2.0])
+    def test_states_rows_are_state_at(self, s, hbar):
+        model = zoo_spin_coherent(s, s, hbar=hbar)
+        thetas = np.random.default_rng(int(10 * s + hbar)).uniform(
+            -4.0, 7.0, (50, 2))
+        rows = model.states(thetas)
+        assert rows.shape == (50, model.dim)
+        assert np.array_equal(
+            rows, np.array([model.state_at(t).vector for t in thetas]))
+
+    def test_states_norm_checked_per_row(self):
+        model = zoo_spin_coherent(1.0, 0.0)
+
+        def one_bad_row(thetas):
+            rows = model.states_at(thetas)
+            rows[-1] *= 1.0 + 1e-9
+            return rows
+
+        thetas = np.array([[0.3, 0.1], [1.2, -0.4]])
+        bad = dataclasses.replace(model, states_at=one_bad_row)
+        with pytest.raises(ValidationError):
+            bad.states(thetas)
+        with pytest.raises(ValidationError):
+            bad.states(thetas[::-1])
+        # the batched form survives a replaced state_at
+        wrapped = dataclasses.replace(model, state_at=model.state_at)
+        assert wrapped.states_at is model.states_at
+
+
 class TestSqueezed:
     def test_determinant_identity(self):
         model = zoo_squeezed(trunc_dim=64)
@@ -288,6 +320,14 @@ class TestPmShift:
             dev = np.max(np.abs(model.state(np.array(th)).vector - ref))
             assert dev <= 1e-13, (th, dev)
 
+    def test_states_stack_state_at(self):
+        model = zoo_pm_shift(1, trunc_dim=32)
+        assert model.states_at is None
+        thetas = np.random.default_rng(6).uniform(-0.5, 0.5, (9, 2))
+        assert np.array_equal(
+            model.states(thetas),
+            np.array([model.state_at(t).vector for t in thetas]))
+
     def test_largest_fock_index(self):
         model = zoo_pm_shift(61, trunc_dim=64)
         assert abs(model.state(np.zeros(2)).vector[61] - 1.0) <= 1e-15
@@ -338,6 +378,11 @@ class TestTimeEvolution:
         with pytest.raises(ValidationError):
             horizontal_lift(model, np.array([0.1]))
 
+    def test_nan_generator_rejected(self):
+        h = np.array([[0.0, 1.0], [1.0, np.nan]])
+        with pytest.raises(ValidationError):
+            zoo_time_evolution(h, np.array([1.0, 0.0]))
+
     def test_matches_variance(self):
         rng = np.random.default_rng(21)
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -357,6 +402,19 @@ class TestExplicitAndSpec:
         model = explicit_model(phi, [tangent])
         frame = frame_at(model, np.array([0.0]))
         assert np.max(np.abs(frame.lifts[0] - 2.0 * tangent)) <= 1e-10
+
+    def test_explicit_model_rejects_non_finite(self):
+        phi = np.array([1.0, 0.0, 0.0], dtype=complex)
+        tangent = np.array([0.0, 0.5, 0.0], dtype=complex)
+        for state, tvs in ((phi, [np.array([0.0, np.nan, 0.0])]),
+                           (phi, [tangent, np.array([np.inf, 0.0, 0.0])]),
+                           (np.array([np.nan, 0.0, 0.0]), [tangent])):
+            with pytest.raises(ValidationError):
+                explicit_model(state, tvs)
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = np.nan
+        with pytest.raises(ValidationError):
+            explicit_model(rho, [0.1 * SIGMA_Z], pure=False)
 
     def test_spec_kinds(self):
         specs = [

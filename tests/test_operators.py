@@ -12,6 +12,7 @@ from qest.operators import (
     mixed_state,
     pure_state,
     skew_flow,
+    unit_rows,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -60,6 +61,19 @@ class TestSkewFlow:
             ref = expm(1j * t * h)
             assert np.max(np.abs(flow(t, vs) - ref @ vs)) <= 1e-12
             assert np.max(np.abs(flow(t, vs[:, 0]) - ref @ vs[:, 0])) <= 1e-12
+
+    def test_one_time_per_column(self):
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        flow = skew_flow(z + z.conj().T)
+        ts = rng.uniform(-3.0, 3.0, 7)
+        vs = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        out = flow(ts, vs)
+        for p, t in enumerate(ts):
+            # a column's bits do not depend on the batch it came in
+            assert np.array_equal(out[:, p], flow(t, vs[:, p]))
+            ref = expm(1j * t * (z + z.conj().T)) @ vs[:, p]
+            assert np.max(np.abs(out[:, p] - ref)) <= 1e-12
 
 
 class TestMatrixExponential:
@@ -149,6 +163,22 @@ class TestStates:
         with pytest.raises(ValidationError):
             mixed_state(np.diag([1.0, 0.0]).astype(complex),
                         require_faithful=True)
+
+    def test_nan_off_diagonal_rejected(self):
+        rho = np.array([[0.5, np.nan], [np.nan, 0.5]], dtype=complex)
+        with pytest.raises(ValidationError):
+            mixed_state(rho)
+        with pytest.raises(ValidationError):
+            hermitian_eigendecomposition(rho)
+
+    def test_unit_rows_checks_every_row(self):
+        rows = np.array([[1.0, 0.0], [0.6, 0.8j], [0.0, -1.0]])
+        assert np.array_equal(unit_rows(rows), rows)
+        for bad in (1.1, np.nan):
+            worse = rows.copy()
+            worse[1, 0] = bad
+            with pytest.raises(ValidationError):
+                unit_rows(worse)
 
     def test_purification_trace(self):
         w = np.array([[0.6, 0.0], [0.0, 0.8]], dtype=complex)

@@ -3,11 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qest.simulate as simulate
 from qest.bounds import WeightMatrix
 from qest.geometry import info_geometry
-from qest.models import frame_at, zoo_spin_coherent
+from qest.models import frame_at, zoo_pm_shift, zoo_spin_coherent
 from qest.operators import ValidationError
-from qest.simulate import QmleConfig, simulate_gqmle, time_energy_report
+from qest.simulate import (
+    QmleConfig,
+    _log_likelihood_factory,
+    _maximize,
+    simulate_gqmle,
+    time_energy_report,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -84,11 +91,105 @@ class TestSimulateGqmle:
         dev = np.linalg.norm(res.theta_hats - theta, axis=1)
         assert np.median(dev) <= 0.3
 
+    def test_refits_once_per_interval(self, monkeypatch):
+        # N = 50 with reopt 20: refits at 20, 40 and 50 samples
+        sizes, grids = [], []
+        factory, maximize = (simulate._log_likelihood_factory,
+                             simulate._maximize)
+
+        def counting_factory(model, elements):
+            sizes.append(len(elements))
+            return factory(model, elements)
+
+        def counting_maximize(loglik, theta0, radius, grid_points):
+            grids.append(grid_points)
+            return maximize(loglik, theta0, radius, grid_points)
+
+        monkeypatch.setattr(simulate, "_log_likelihood_factory",
+                            counting_factory)
+        monkeypatch.setattr(simulate, "_maximize", counting_maximize)
+        model = zoo_spin_coherent(0.5, 0.5)
+        cfg = QmleConfig(n_samples=50, trials=2, seed=3, reopt_every=20)
+        res = simulate_gqmle(model, np.array([1.0, 0.4]),
+                             WeightMatrix.from_matrix(np.eye(2)), cfg)
+        assert res.excluded_trials == 0
+        assert sizes == [20, 40, 50] * 2
+        assert grids == [simulate.GRID_POINTS, 1, 1] * 2
+
+    def test_model_without_batched_states(self):
+        model = zoo_pm_shift(1, trunc_dim=32)
+        assert model.states_at is None
+        theta = np.array([0.3, -0.2])
+        cfg = QmleConfig(n_samples=40, trials=3, seed=5, reopt_every=10)
+        res = simulate_gqmle(model, theta,
+                             WeightMatrix.from_matrix(np.eye(2)), cfg)
+        assert res.excluded_trials == 0
+        assert res.theta_hats.shape == (3, 2)
+        assert np.isfinite(res.scaled_risk)
+        assert np.max(np.abs(res.theta_hats - theta)) <= 1.0
+
     def test_rejects_unsupported_models(self):
         from conftest import great_circle_model
         with pytest.raises(ValidationError):
             simulate_gqmle(great_circle_model(), np.array([0.5]),
                            WeightMatrix.from_matrix(np.eye(1)), QmleConfig())
+
+
+def _scalar_log_likelihood_factory(model, elements):
+    """Reference: one state and one contraction per point."""
+
+    def loglik(theta):
+        phi = model.state(theta).vector
+        p = np.einsum("a,nab,b->n", phi.conj(), elements, phi).real
+        return float(np.sum(np.log(np.clip(p, 1e-300, None))))
+
+    return loglik
+
+
+class TestBatchedLikelihood:
+    @staticmethod
+    def _record(rng, n, d):
+        """Random PSD elements of rank 1 and 2, and one zero element."""
+        out = []
+        for k in range(n):
+            a = (rng.standard_normal((d, 1 + k % 2))
+                 + 1j * rng.standard_normal((d, 1 + k % 2)))
+            out.append(a @ a.conj().T / (2 * d))
+        out[n // 2] = np.zeros((d, d))
+        return np.array(out)
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    @pytest.mark.parametrize("points", [1, 50])
+    def test_matches_scalar_reference(self, s, points):
+        model = zoo_spin_coherent(s, s)
+        rng = np.random.default_rng(int(4 * s) + points)
+        record = self._record(rng, 40, model.dim)
+        thetas = rng.uniform(-3.0, 3.0, (points, 2))
+        batched = _log_likelihood_factory(model, record)(thetas)
+        ref = _scalar_log_likelihood_factory(model, record)
+        assert batched.shape == (points,)
+        assert np.allclose(batched, [ref(t) for t in thetas],
+                           rtol=1e-12, atol=0)
+
+    def test_grid_ties_go_to_the_first_point_in_scan_order(self):
+        radius = 0.3
+        theta0 = np.array([1.0, -0.5])
+        axis = np.linspace(-radius, radius, 7)
+        # scan order: first axis slowest, as in meshgrid(indexing="ij")
+        first = theta0 + np.array([axis[1], axis[4]])
+        later = theta0 + np.array([axis[5], axis[0]])
+        for peaks in ((first, later), (later, first)):
+            def loglik(thetas, peaks=peaks):
+                return np.array([
+                    1.0 if min(np.max(np.abs(t - q)) for q in peaks) < 1e-12
+                    else 0.0 for t in thetas])
+
+            assert np.array_equal(_maximize(loglik, theta0, radius, 7), first)
+
+    def test_centre_wins_a_flat_grid(self):
+        theta0 = np.array([0.2, 0.4])
+        flat = _maximize(lambda t: np.zeros(len(t)), theta0, 0.3, 7)
+        assert np.array_equal(flat, theta0)
 
 
 class TestQmleRegression:
