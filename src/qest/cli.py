@@ -47,12 +47,11 @@ def _sig(x):
 
 
 def _real_rows(a):
-    return [[float(v) for v in row] for row in np.asarray(a, dtype=float)]
+    return np.asarray(a, dtype=float).tolist()
 
 
 def _complex_rows(a):
-    a = np.asarray(a, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
 
 
 def _emit(text, out_path):
@@ -63,9 +62,14 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _emit_json(report, out_path):
+    _emit(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
+          out_path)
+
+
 def _emit_report(report, fmt, out_path, text_lines):
     if fmt == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", out_path)
+        _emit_json(report, out_path)
     else:
         _emit("\n".join(text_lines) + "\n", out_path)
 
@@ -203,7 +207,7 @@ def _cmd_boundary(args):
     if args.format == "json":
         report = {"beta": float(args.beta),
                   "rows": [{"x": x, "z": z, "branch": b} for x, z, b in rows]}
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+        _emit_json(report, args.out)
     else:
         lines = ["beta,x,z,branch"]
         lines += [f"{float(args.beta)!r},{x!r},{z!r},{b}" for x, z, b in rows]
@@ -243,13 +247,16 @@ def _cmd_measurement(args):
         "estimates": [[float(v) for v in e] for e in pvm.estimates],
         "covariance": _real_rows(cov),
     }
-    if args.include_elements or args.format == "json":
+    if args.format == "json":
         report["elements"] = [_complex_rows(e) for e in elements]
     lines = [f"method: {report['method']}",
              f"outcomes: {report['n_outcomes']}",
              f"risk Tr G V: {_sig(report['risk'])}",
              f"bound value: {_sig(report['cr_value'])}"]
     lines += _matrix_lines("covariance", report["covariance"])
+    for k, e in enumerate(elements if args.include_elements else []):
+        lines += _matrix_lines(f"element {k} real", np.real(e))
+        lines += _matrix_lines(f"element {k} imag", np.imag(e))
     _emit_report(report, args.format, args.out, lines)
     return 0
 

@@ -189,8 +189,11 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
                     elements, probs = law_at(theta_hat)
             hats.append(theta_hat if canonicalize is None
                         else canonicalize(theta_hat, theta_true))
-        except (ValidationError, np.linalg.LinAlgError):
+        except (ValidationError, np.linalg.LinAlgError) as exc:
             excluded += 1
+            last_error = exc
+    if not hats:
+        raise ValidationError(f"all {excluded} trials excluded: {last_error}")
     hats = np.array(hats)
     dev = hats - theta_true
     mse = dev.T @ dev / len(hats)

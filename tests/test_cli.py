@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from qest.cli import run
+from qest.bounds import WeightMatrix, attainable_bound
+from qest.cli import _complex_rows, _matrix_lines, _real_rows, run
+from qest.geometry import info_geometry
+from qest.measurements import (
+    construct_pvm_from_vectors,
+    naimark_compress,
+    optimal_vectors_two_param,
+)
+from qest.models import frame_at, load_model_spec
 
 SPIN_SPEC = {
     "kind": "spin_coherent",
@@ -109,6 +117,21 @@ class TestMeasurement:
         total = sum(np.array([[complex(re, im) for re, im in row]
                               for row in e]) for e in elements)
         assert np.max(np.abs(total - np.eye(2))) <= 1e-10
+
+    def test_include_elements_prints_them(self, spin_spec, capsys):
+        argv = ["measurement", "--model", spin_spec, "--weight", "js"]
+        assert run(argv) == 0
+        plain = capsys.readouterr().out
+        assert run(argv + ["--include-elements"]) == 0
+        full = capsys.readouterr().out
+        assert run(argv + ["--format", "json"]) == 0
+        elements = np.array(json.loads(capsys.readouterr().out)["elements"])
+        expected = []
+        for k, e in enumerate(elements):
+            expected += _matrix_lines(f"element {k} real", e[..., 0])
+            expected += _matrix_lines(f"element {k} imag", e[..., 1])
+        assert "element" not in plain
+        assert full == plain + "\n".join(expected) + "\n"
 
 
 class TestTimeEnergy:
@@ -232,6 +255,12 @@ class TestErrors:
         "time_energy_nan_t0": ("time-energy", TE_SPEC, None,
                                ["--dt", "0.1", "--n", "5", "--t0", "nan"],
                                "t0"),
+        # every trial's refits reach the Fock truncation's leaking region
+        "simulate_all_trials_excluded": ("simulate-qmle", {
+            "kind": "pm_shift", "params": {"n": 0}, "trunc_dim": 32,
+            "theta": [3.6, 0.0]}, None,
+            ["--samples", "20", "--trials", "3", "--reopt-every", "10"],
+            "all 3 trials excluded"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -256,6 +285,89 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "x_range" in err
+
+
+class TestJsonOutput:
+    """JSON output is one compact line with sorted keys; its numbers are the
+    exact float64 values the library computed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["geometry", "--model", "{spin}"],
+        ["bound", "--model", "{spin}", "--weight", "js"],
+        ["boundary", "--beta", "0.6", "--samples", "5"],
+        ["measurement", "--model", "{spin}", "--weight", "js"],
+        ["oracle", "--model", "{spin}", "--restarts", "2", "--steps", "50"],
+        ["simulate-qmle", "--model", "{spin}", "--weight", "js",
+         "--samples", "20", "--trials", "2", "--reopt-every", "10"],
+        ["time-energy", "--model", "{te}", "--dt", "0.3", "--n", "50"],
+    ], ids=lambda argv: argv[0])
+    def test_one_line(self, argv, spin_spec, te_spec, capsys):
+        paths = {"{spin}": spin_spec, "{te}": te_spec}
+        argv = [paths.get(a, a) for a in argv] + ["--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and "\n" not in out[:-1]
+        report = json.loads(out)
+        assert list(report) == sorted(report)
+        assert out == json.dumps(report, sort_keys=True,
+                                 separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "spin_coherent", "params": {"s": 1.5, "m_z": 0.5},
+         "theta": [1.0, 0.5]},
+        {"kind": "pm_shift", "trunc_dim": 32, "params": {"n": 1},
+         "theta": [0.2, -0.1]},
+    ], ids=["spin_3half", "pm_shift"])
+    def test_elements_bit_for_bit(self, spec, tmp_path, capsys):
+        path = write_spec(tmp_path, "spec", spec)
+        assert run(["measurement", "--model", path, "--seed", "7",
+                    "--format", "json"]) == 0
+        pairs = np.array(json.loads(capsys.readouterr().out)["elements"])
+        got = np.empty(pairs.shape[:-1], dtype=complex)
+        got.real, got.imag = pairs[..., 0], pairs[..., 1]
+
+        model, theta = load_model_spec(spec)
+        frame = frame_at(model, theta)
+        geom = info_geometry(frame)
+        weight = WeightMatrix.from_matrix(np.eye(2))
+        bound = attainable_bound(geom, weight, model.pure)
+        assert bound.method == "two_param"
+        vectors, basis = optimal_vectors_two_param(frame, weight, bound)
+        pvm = construct_pvm_from_vectors(vectors, rng_seed=7)
+        elements, _ = naimark_compress(pvm, basis)
+        want = np.array(elements, dtype=complex)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_match_loop_reference(self):
+        # reference: element-by-element float() conversion; repr tells
+        # -0.0 from 0.0, so equal reprs mean equal values and signs
+        tiny = 5e-324
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4))
+        a[0, :3] = -0.0, tiny, -tiny
+        z = np.empty((4, 4), dtype=complex)
+        z.real, z.imag = a, rng.normal(size=(4, 4))
+        z.imag[0, :3] = tiny, -0.0, -tiny
+        real, pairs = _real_rows(a), _complex_rows(z)
+        assert repr(real) == repr([[float(v) for v in row] for row in a])
+        assert repr(pairs) == repr([[[float(v.real), float(v.imag)]
+                                     for v in row] for row in z])
+        assert repr(real[0][:3]) == repr([-0.0, tiny, -tiny])
+        assert repr(pairs[0][:3]) == repr([[-0.0, tiny], [tiny, -0.0],
+                                           [-tiny, -tiny]])
+        assert all(type(v) is float for v in real[0] + pairs[0][0])
+        assert repr(json.loads(json.dumps(pairs))) == repr(pairs)
+
+    def test_out_file_matches_stdout(self, spin_spec, tmp_path, capsys):
+        argv = ["measurement", "--model", spin_spec, "--weight", "js",
+                "--seed", "3", "--format", "json"]
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
 
 
 class TestSeeding:

@@ -128,6 +128,16 @@ class TestSimulateGqmle:
         assert np.isfinite(res.scaled_risk)
         assert np.max(np.abs(res.theta_hats - theta)) <= 1.0
 
+    def test_all_trials_excluded(self):
+        # at theta_1 = 3.6 every trial's refits leak out of the n = 0
+        # oscillator's 32 Fock levels, so no trial survives
+        model = zoo_pm_shift(0, trunc_dim=32)
+        cfg = QmleConfig(n_samples=20, trials=3, seed=2024, reopt_every=10)
+        with pytest.raises(ValidationError,
+                           match="all 3 trials excluded: .*trunc_dim"):
+            simulate_gqmle(model, np.array([3.6, 0.0]),
+                           WeightMatrix.from_matrix(np.eye(2)), cfg)
+
     def test_rejects_unsupported_models(self):
         from conftest import great_circle_model
         with pytest.raises(ValidationError):
