@@ -8,6 +8,7 @@ internal-consistency error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -476,7 +477,7 @@ def _cmd_selftest(args):
 
 # -------------------------------------------------------------------- parser
 
-def _add_common(sub, model=True, weight=True):
+def _add_common(sub, model=True, weight=True, formats=("text", "json")):
     if model:
         sub.add_argument("--model", help="path to a JSON model spec")
         sub.add_argument("--theta", help="comma-separated parameter override")
@@ -485,11 +486,11 @@ def _add_common(sub, model=True, weight=True):
                          help="identity | js | path to a matrix file")
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (fallback: env QESTIM_SEED, then 2024)")
-    sub.add_argument("--format", choices=["text", "json", "csv"],
-                     default="text")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qest",
@@ -514,7 +515,7 @@ def build_parser():
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--x-range", type=float, default=None)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_boundary)
 
@@ -535,7 +536,7 @@ def build_parser():
 
     p = subs.add_parser("simulate-qmle",
                         help="adaptive quantum MLE Monte Carlo")
-    _add_common(p)
+    _add_common(p, formats=("text", "json", "csv"))
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--reopt-every", type=int, default=1)

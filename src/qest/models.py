@@ -3,6 +3,7 @@ built-in model zoo (spin-coherent rotations, displaced squeezed vacuum,
 phase-space shifts of a Fock state, Gibbs families, unitary time evolution).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,6 +320,7 @@ def _check_leakage(vec, label):
             f"{LEAKAGE_TOL:.0e}; increase trunc_dim")
 
 
+@functools.cache
 def _fock_displacement(trunc_dim):
     """``displace(alpha, v) = D(alpha) v``, D(alpha) = exp(alpha a^dag -
     conj(alpha) a), on a truncated Fock space, shared by the Fock models.
@@ -332,12 +334,21 @@ def _fock_displacement(trunc_dim):
     a = annihilation(trunc_dim)
     flow = skew_flow(-1j * (a.conj().T - a))
     n = np.arange(trunc_dim)
+    n.flags.writeable = False
 
     def displace(alpha, v):
         r = np.exp(1j * np.angle(alpha) * n)
         return r * flow(abs(alpha), r.conj() * v)
 
     return displace
+
+
+@functools.cache
+def _fock_squeeze(trunc_dim):
+    """``squeeze(r, v) = S(r) v``, S(r) = exp((r/2)(a^2 - a^dag^2)), on a
+    truncated Fock space, built once per truncation."""
+    a2 = np.linalg.matrix_power(annihilation(trunc_dim), 2)
+    return skew_flow(-0.5j * (a2 - a2.conj().T))
 
 
 def zoo_squeezed(trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
@@ -354,8 +365,7 @@ def zoo_squeezed(trunc_dim=TRUNC_DIM_DEFAULT, hbar=1.0,
     leaks.
     """
     displace = _fock_displacement(trunc_dim)
-    a2 = np.linalg.matrix_power(annihilation(trunc_dim), 2)
-    squeeze = skew_flow(-0.5j * (a2 - a2.conj().T))
+    squeeze = _fock_squeeze(trunc_dim)
     n = np.arange(trunc_dim)
     vac = (n == 0).astype(complex)
 

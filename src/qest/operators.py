@@ -131,10 +131,12 @@ def skew_flow(h):
     checked once; ``v`` is a vector or a matrix of column vectors, and ``t``
     a scalar or one time per column.  A column costs the same two
     matrix-vector products as a vector, so its bits do not depend on the
-    columns that come with it."""
+    columns that come with it.  Its arrays are read-only."""
     w, u = hermitian_eigendecomposition(h)
     _check_unitary(u, "eigenbasis")
     u_adj = u.conj().T
+    for arr in (w, u, u_adj):
+        arr.flags.writeable = False
 
     def flow(t, v):
         if v.ndim == 1:

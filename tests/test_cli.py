@@ -287,6 +287,20 @@ class TestErrors:
         assert "x_range" in err
 
 
+    @pytest.mark.parametrize("cmd,fmt", [
+        ("geometry", "csv"), ("bound", "csv"), ("measurement", "csv"),
+        ("oracle", "csv"), ("time-energy", "csv"), ("boundary", "text")])
+    def test_unsupported_format_exits_2(self, cmd, fmt, spin_spec, capsys):
+        # each subcommand offers only the formats it writes
+        where = (["--beta", "0.6"] if cmd == "boundary"
+                 else ["--model", spin_spec])
+        with pytest.raises(SystemExit) as exc:
+            run([cmd, *where, "--format", fmt])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and repr(fmt) in err
+
+
 class TestJsonOutput:
     """JSON output is one compact line with sorted keys; its numbers are the
     exact float64 values the library computed."""
@@ -395,6 +409,103 @@ class TestSeeding:
         monkeypatch.setenv("QESTIM_SEED", "not-a-number")
         assert run(["oracle", "--model", spin_spec, "--restarts", "1",
                     "--steps", "10"]) == 2
+
+
+def _cold_run(argv):
+    """``python -m qest.cli argv`` in a fresh interpreter: (rc, out, err)."""
+    import qest
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qest.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "qest.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+WARM_SPECS = {
+    "spin": SPIN_SPEC,
+    "squeezed": {"kind": "squeezed", "trunc_dim": 32,
+                 "theta": [0.1, -0.1, 0.2, 0.2]},
+    "pm_shift": {"kind": "pm_shift", "trunc_dim": 32, "params": {"n": 1},
+                 "theta": [0.3, -0.4]},
+    "te": TE_SPEC,
+}
+
+
+class TestWarmPath:
+    """Commands run one after another in one process (one parser, one Fock
+    eigenbasis per truncation) print what a fresh process prints."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("warm")
+        paths = {}
+        for name, spec in WARM_SPECS.items():
+            paths[name] = str(root / f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(spec, fh)
+        argvs = [["boundary", "--beta", "0.6", "--samples", "5"],
+                 ["time-energy", "--model", paths["te"], "--dt", "0.1",
+                  "--n", "5"]]
+        for name in ("spin", "squeezed", "pm_shift"):
+            model = ["--model", paths[name]]
+            argvs += [
+                ["geometry", *model],
+                ["bound", *model, "--weight", "js", "--format", "json"],
+                ["measurement", *model, "--weight", "js"],
+                ["oracle", *model, "--restarts", "2", "--steps", "50",
+                 "--format", "json"],
+                ["simulate-qmle", *model, "--weight", "js", "--samples",
+                 "20", "--trials", "2", "--reopt-every", "10"],
+                ["time-energy", *model, "--dt", "0.1", "--n", "5"],
+            ]
+        env = os.environ.pop("QESTIM_SEED", None)
+        try:
+            return [(argv, _cold_run(argv)) for argv in argvs]
+        finally:
+            if env is not None:
+                os.environ["QESTIM_SEED"] = env
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_bytes_equal_a_cold_process(self, cases, order, capsys,
+                                        monkeypatch):
+        import qest.cli
+        import qest.models
+        monkeypatch.delenv("QESTIM_SEED", raising=False)
+        qest.cli.build_parser.cache_clear()
+        qest.models._fock_displacement.cache_clear()
+        qest.models._fock_squeeze.cache_clear()
+        for argv, cold in (cases if order == "forward" else cases[::-1]):
+            rc = run(argv)
+            out, err = capsys.readouterr()
+            assert (rc, out, err) == cold, argv
+        assert {rc for _, (rc, _, _) in cases} == {0, 2}
+
+    def test_parse_error_then_valid_command(self, spin_spec, capsys):
+        argv = ["geometry", "--model", spin_spec, "--format", "json"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        for bad in (["geometry", "--model", spin_spec, "--bogus"],
+                    ["geometry", "--model", spin_spec, "--format", "csv"],
+                    ["no-such-command"]):
+            with pytest.raises(SystemExit) as exc:
+                run(bad)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert run(argv) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_seed_flag_does_not_carry_over(self, spin_spec, capsys,
+                                           monkeypatch):
+        argv = ["oracle", "--model", spin_spec, "--restarts", "1",
+                "--steps", "10", "--format", "json"]
+        monkeypatch.delenv("QESTIM_SEED", raising=False)
+        assert run(argv + ["--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        monkeypatch.setenv("QESTIM_SEED", "7")
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
 
 
 class TestSelftest:

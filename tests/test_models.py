@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import great_circle_model
+from qest import models
 from qest.models import (
     ParametricModel,
     _spin_matrices,
@@ -331,6 +332,73 @@ class TestPmShift:
     def test_largest_fock_index(self):
         model = zoo_pm_shift(61, trunc_dim=64)
         assert abs(model.state(np.zeros(2)).vector[61] - 1.0) <= 1e-15
+
+
+class TestFockMemo:
+    """Each Fock truncation is diagonalized and checked once per process,
+    and the shared flows cannot be written into."""
+
+    @pytest.fixture
+    def eig_sizes(self, monkeypatch):
+        import qest.operators
+        real = qest.operators.hermitian_eigendecomposition
+        sizes = []
+
+        def counting(a):
+            sizes.append(np.shape(a)[0])
+            return real(a)
+
+        monkeypatch.setattr(qest.operators, "hermitian_eigendecomposition",
+                            counting)
+        models._fock_displacement.cache_clear()
+        models._fock_squeeze.cache_clear()
+        return sizes
+
+    def test_one_eigendecomposition_per_truncation(self, eig_sizes):
+        first = zoo_pm_shift(1, trunc_dim=32)
+        second = zoo_pm_shift(0, trunc_dim=32, hbar=2.0)
+        assert eig_sizes == [32]
+        th = np.array([0.3, -0.2])
+        models._fock_displacement.cache_clear()
+        assert np.array_equal(first.state(th).vector,
+                              zoo_pm_shift(1, trunc_dim=32).state(th).vector)
+        assert second.state(th).vector.shape == (32,)
+
+    def test_distinct_truncations(self, eig_sizes):
+        zoo_pm_shift(1, trunc_dim=32)
+        zoo_pm_shift(1, trunc_dim=40)
+        assert eig_sizes == [32, 40]
+
+    def test_squeezed_shares_the_displacement(self, eig_sizes):
+        zoo_pm_shift(1, trunc_dim=32)
+        zoo_squeezed(trunc_dim=32)
+        zoo_squeezed(trunc_dim=32)
+        assert eig_sizes == [32, 32]   # the displacement, then the squeeze
+        assert models._fock_displacement.cache_info().currsize == 1
+        assert models._fock_squeeze.cache_info().currsize == 1
+
+    def test_cached_flow_is_read_only(self):
+        displace = models._fock_displacement(32)
+        cells = dict(zip(displace.__code__.co_freevars,
+                         (c.cell_contents for c in displace.__closure__)))
+        flows = [cells["flow"], models._fock_squeeze(32)]
+        arrays = [cells["n"]] + [
+            c.cell_contents for flow in flows for c in flow.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+        assert len(arrays) == 7   # n, then w, u, u_adj of each flow
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_rejected_truncation_never_cached(self):
+        before = models._fock_displacement.cache_info().currsize
+        for build in (zoo_pm_shift, zoo_pm_shift, zoo_squeezed):
+            with pytest.raises(ValidationError, match="trunc_dim"):
+                build(trunc_dim=16)
+        assert models._fock_displacement.cache_info().currsize == before
+        zoo_pm_shift(1, trunc_dim=32)
+        with pytest.raises(ValidationError, match="trunc_dim"):
+            zoo_pm_shift(trunc_dim=16)
 
 
 class TestCanonical:
