@@ -232,7 +232,8 @@ def _cmd_measurement(args):
         if method == "sld":
             vectors, basis = optimal_vectors_sld(frame, bound)
         else:
-            vectors, basis = optimal_vectors_two_param(frame, weight, bound)
+            vectors, basis = optimal_vectors_two_param(frame, geom, weight,
+                                                      bound)
         pvm = construct_pvm_from_vectors(vectors, rng_seed=_resolve_seed(args))
         elements, _ = naimark_compress(pvm, basis)
         name, cov = method, pvm.meta["covariance"].real

@@ -19,7 +19,6 @@ from .operators import (
     gram_schmidt_real_coefficients,
 )
 from .models import _embed_frame
-from .geometry import InfoGeometry
 from .bounds import _so2_diagonalizer
 
 __all__ = [
@@ -45,25 +44,28 @@ COMMUTATOR_TOL = 1e-8
 class PvmEstimator:
     """Projective measurement with per-outcome estimates.
 
-    ``projectors[k]`` is Hermitian idempotent on a space of dimension
-    ``ambient_dim``; projectors sum to the identity.  ``estimates[k]`` is the
-    parameter estimate announced on outcome k.
+    ``projectors`` is a (K, d, d) stack, d = ``ambient_dim``: each
+    ``projectors[k]`` is Hermitian idempotent, and they sum to the identity.
+    ``estimates`` is (K, m): row k is the parameter estimate announced on
+    outcome k.
     """
 
-    projectors: list
-    estimates: list
+    projectors: np.ndarray
+    estimates: np.ndarray
     ambient_dim: int
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.projectors = np.asarray(self.projectors, dtype=complex)
+        self.estimates = np.asarray(self.estimates, dtype=float)
+
     def validate(self):
-        total = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for p in self.projectors:
-            if np.max(np.abs(p - p.conj().T)) > PVM_TOL:
-                raise ValidationError("projector not Hermitian")
-            if np.max(np.abs(p @ p - p)) > PVM_TOL:
-                raise ValidationError("projector not idempotent")
-            total += p
-        if np.max(np.abs(total - np.eye(self.ambient_dim))) > PVM_TOL:
+        p = self.projectors
+        if np.max(np.abs(p - p.swapaxes(1, 2).conj())) > PVM_TOL:
+            raise ValidationError("projector not Hermitian")
+        if np.max(np.abs(p @ p - p)) > PVM_TOL:
+            raise ValidationError("projector not idempotent")
+        if np.max(np.abs(p.sum(axis=0) - np.eye(self.ambient_dim))) > PVM_TOL:
             raise ValidationError("projectors do not sum to identity")
 
 
@@ -190,11 +192,13 @@ def construct_pvm_from_vectors(vectors, rng_seed=0):
 
     k = rank
     o = _householder_orthogonal(k)
-    rng = np.random.default_rng(rng_seed)
+    rng = None
     for _ in range(32):
         overlaps = o[:, 0]  # <b'_kappa | phi> since b^1 = phi
         if np.min(np.abs(overlaps)) > 1e-9:
             break
+        if rng is None:
+            rng = np.random.default_rng(rng_seed)
         q, r = np.linalg.qr(rng.standard_normal((k, k)))
         o = q * np.sign(np.diag(r))
     else:
@@ -202,26 +206,19 @@ def construct_pvm_from_vectors(vectors, rng_seed=0):
                                        "with nonzero overlaps")
 
     bmat = np.column_stack(basis)          # dim x k
-    bprime = bmat @ o.T                    # columns are b'_kappa
-    projectors = []
-    estimates = []
-    for kappa in range(k):
-        v = bprime[:, kappa]
-        projectors.append(np.outer(v, v.conj()))
-        corr = (lam @ o[kappa, :]) / o[kappa, 0]
-        estimates.append(theta + corr)
+    bprime = (bmat @ o.T).T                # rows are b'_kappa
+    projectors = bprime[:, :, None] * bprime.conj()[:, None, :]
+    est = theta + (o @ lam.T) / o[:, :1]
     rem = np.eye(dim, dtype=complex) - bmat @ bmat.conj().T
     if np.max(np.abs(rem)) > PVM_TOL:
-        projectors.append(rem)
-        estimates.append(theta.copy())
+        projectors = np.concatenate([projectors, rem[None]])
+        est = np.concatenate([est, theta[None]])
 
-    pvm = PvmEstimator(projectors=projectors, estimates=estimates,
-                       ambient_dim=dim)
+    pvm = PvmEstimator(projectors=projectors, estimates=est, ambient_dim=dim)
     pvm.validate()
 
     # verify local unbiasedness and the covariance identity
-    p = np.array([np.vdot(phi, proj @ phi).real for proj in projectors])
-    est = np.array(estimates)
+    p = (projectors @ phi @ phi.conj()).real
     mean = p @ est
     if np.max(np.abs(mean - theta)) > UNBIASED_TOL:
         raise InternalConsistencyError("constructed PVM is biased")
@@ -271,17 +268,19 @@ def optimal_vectors_sld(frame, bound):
     return _verified_vectors(frame, phi_e, l_e, x_e, bound.V_opt), basis
 
 
-def optimal_vectors_two_param(frame, weight, bound):
+def optimal_vectors_two_param(frame, geom, weight, bound):
     """Estimation vectors attaining the two-parameter exact bound, in a
     dilated space of dimension 2m+1 = 5.
 
-    Away from maximal incompatibility the vectors stay in the span of the
-    lifts: X = L V G (G - i Lambda)^{-1} with (V, Lambda) from
-    ``cr_two_param``.  When the lifts' geometry is coherent (beta within
-    1e-6 of 1) that matrix is (nearly) singular and the optimizer genuinely
-    needs the dilation: in normalized rotated coordinates X = L'' + Y with
-    Y orthogonal to the physical span and Y*Y = V'' - L''*L''.  Both
-    branches verify Re X*L = I, Im X*X = 0 and Re X*X = V before returning.
+    ``geom`` is the frame's :class:`~qest.geometry.InfoGeometry`, and
+    ``bound`` the ``cr_two_param`` result for it.  Away from maximal
+    incompatibility the vectors stay in the span of the lifts:
+    X = L V G (G - i Lambda)^{-1} with (V, Lambda) from the bound.  When the
+    geometry is coherent (beta within 1e-6 of 1) that matrix is (nearly)
+    singular and the optimizer genuinely needs the dilation: in normalized
+    rotated coordinates X = L'' + Y with Y orthogonal to the physical span
+    and Y*Y = V'' - L''*L''.  Both branches verify Re X*L = I, Im X*X = 0
+    and Re X*X = V before returning.
     """
     if not frame.pure or frame.m != 2:
         raise ValidationError("requires a 2-parameter pure model")
@@ -294,12 +293,8 @@ def optimal_vectors_two_param(frame, weight, bound):
     basis, phi_e, l_e = _embed_frame(frame, dilate_dim)
     span_k = basis.shape[1]
 
-    # normalized rotated frame data
-    ll = l_e.conj().T @ l_e
-    lifted = InfoGeometry(JS=ll.real, Jtilde=ll.imag)
-    s_half, s_inv = lifted.S_half, lifted.S_inv_half
-
-    if not lifted.coherent:
+    s_half, s_inv = geom.S_half, geom.S_inv_half
+    if not geom.coherent:
         if bound.Lambda is None:
             raise ValidationError("bound carries no Lagrange multiplier")
         x_e = l_e @ v_opt @ g @ np.linalg.inv(g - 1j * bound.Lambda)
@@ -365,15 +360,10 @@ def commuting_sld_estimator(frame, geom):
     else:
         raise InternalConsistencyError("simultaneous diagonalization failed")
 
-    js_inv = np.linalg.inv(geom.JS)
-    projectors = []
-    estimates = []
-    for w in range(dim):
-        v = u[:, w]
-        projectors.append(np.outer(v, v.conj()))
-        lam = np.array([np.vdot(v, l @ v).real for l in slds])
-        estimates.append(frame.theta + js_inv @ lam)
-    pvm = PvmEstimator(projectors=projectors, estimates=estimates,
+    # outcome w: |u_w><u_w| announcing theta + J^{S-1} (<u_w|L_i|u_w>)_i
+    lam = np.einsum("aw,iab,bw->wi", u.conj(), np.array(slds), u).real
+    pvm = PvmEstimator(projectors=u.T[:, :, None] * u.T.conj()[:, None, :],
+                       estimates=frame.theta + lam @ np.linalg.inv(geom.JS).T,
                        ambient_dim=dim)
     pvm.validate()
     return pvm
@@ -384,20 +374,17 @@ def naimark_compress(pvm, embedding):
 
     ``embedding`` is the (base_dim x k) orthonormal matrix whose columns span
     the physically relevant subspace; the dilated space holds that subspace
-    in its first k coordinates.  Returns POVM elements M_k on the base space
-    plus a remainder element absorbing the orthogonal complement, so the
-    elements sum to the base identity.
+    in its first k coordinates.  Returns ``(elements, has_remainder)``: the
+    POVM elements M_k on the base space as one (K, base_dim, base_dim)
+    stack, compressed in one product, ending with a remainder element that
+    absorbs the orthogonal complement when one is needed, so the elements
+    sum to the base identity.
     """
     base_dim, k = embedding.shape
-    elements = []
-    for proj in pvm.projectors:
-        block = proj[:k, :k]
-        elem = embedding @ block @ embedding.conj().T
-        elements.append(0.5 * (elem + elem.conj().T))
-    total = sum(elements)
-    rem = np.eye(base_dim, dtype=complex) - total
-    if np.max(np.abs(rem)) > 1e-9:
-        elements.append(0.5 * (rem + rem.conj().T))
-    else:
-        rem = None
-    return elements, rem is not None
+    elements = embedding @ pvm.projectors[:, :k, :k] @ embedding.conj().T
+    elements = 0.5 * (elements + elements.swapaxes(1, 2).conj())
+    rem = np.eye(base_dim, dtype=complex) - elements.sum(axis=0)
+    if np.max(np.abs(rem)) <= 1e-9:
+        return elements, False
+    rem = 0.5 * (rem + rem.conj().T)
+    return np.concatenate([elements, rem[None]]), True

@@ -147,26 +147,24 @@ def _align_phase(ref, vec):
 
 def tangents(model, theta):
     """List of d_i(state) at theta: the model's ``tangent_at`` when it has
-    one, else central finite differences with pure-state phase alignment."""
+    one, else central finite differences, with each neighbour of a pure
+    state phase-aligned to the centre.  A pure model's 2m + 1 points come
+    from one :meth:`ParametricModel.states` call."""
     theta = np.asarray(theta, dtype=float)
     if model.tangent_at is not None:
         return [np.asarray(t, dtype=complex) for t in model.tangent_at(theta)]
 
     h = model.fd_step
-    st0 = model.state(theta)
-    out = []
-    for i in range(model.m):
-        dt = np.zeros(model.m)
-        dt[i] = h
-        sp = model.state(theta + dt)
-        sm = model.state(theta - dt)
-        if model.pure:
-            vp = _align_phase(st0.vector, sp.vector)
-            vm = _align_phase(st0.vector, sm.vector)
-            out.append((vp - vm) / (2.0 * h))
-        else:
-            out.append((sp.rho - sm.rho) / (2.0 * h))
-    return out
+    steps = h * np.eye(model.m)
+    if model.pure:
+        # rows: the centre, then theta + h e_i and theta - h e_i for each i
+        vs = model.states(np.concatenate(
+            [theta[None], theta + steps, theta - steps]))
+        vp = [_align_phase(vs[0], v) for v in vs[1:model.m + 1]]
+        vm = [_align_phase(vs[0], v) for v in vs[model.m + 1:]]
+        return [(p - q) / (2.0 * h) for p, q in zip(vp, vm)]
+    return [(model.state(theta + dt).rho - model.state(theta - dt).rho)
+            / (2.0 * h) for dt in steps]
 
 
 def horizontal_lift(model, theta):
@@ -244,6 +242,14 @@ def _spin_matrices(s, hbar):
     return sx, sy
 
 
+@functools.cache
+def _spin_flow(s, hbar):
+    """``flow(t, v) = exp(i t S_x) v`` for spin ``s``, diagonalized and
+    checked once per (s, hbar) and process; ``s`` is validated by the
+    caller."""
+    return skew_flow(_spin_matrices(s, hbar)[0])
+
+
 def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
     """Rotated spin eigenstate model, 2 parameters.
 
@@ -251,8 +257,9 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
 
     The generator is S_x turned about z: sin(theta^2) S_x - cos(theta^2) S_y
     = V S_x V^dag with V = exp(-i (theta^2 - pi/2) m) and m = S_z / hbar
-    (dimensionless).  So S_x is diagonalized and checked once, here, by
-    :func:`skew_flow`, and a state costs two d x d matrix-vector products.
+    (dimensionless).  So S_x is diagonalized and checked once per (s, hbar)
+    and process, by :func:`skew_flow`, and a state costs two d x d
+    matrix-vector products.
     ``states_at`` evaluates one point or a stack of them, and ``state_at``
     is its one-point case.
 
@@ -267,8 +274,7 @@ def zoo_spin_coherent(s, m_z, hbar=1.0, fd_step=FD_STEP_DEFAULT):
         raise ValidationError(f"invalid m_z={m_z} for s={s}")
     dim = int(round(2 * s)) + 1
     mvals = s - np.arange(dim)
-    sx, _ = _spin_matrices(s, hbar)
-    flow = skew_flow(sx)
+    flow = _spin_flow(s, hbar)
     phi0 = np.zeros(dim, dtype=complex)
     phi0[int(round(s - m_z))] = 1.0
 

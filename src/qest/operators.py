@@ -170,7 +170,7 @@ def gram_schmidt_real_coefficients(vectors):
     """
     vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     n = len(vs)
-    gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
+    gram = np.conj(vs) @ np.transpose(vs)
     if np.max(np.abs(gram.imag)) > GRAM_IMAG_RTOL * max(1.0, np.max(np.abs(gram))):
         raise NotRealGramError(
             f"Gram matrix imaginary part {np.max(np.abs(gram.imag)):.3e} "

@@ -20,8 +20,11 @@ __all__ = ["QmleConfig", "QmleResult", "simulate_gqmle",
            "TestPowerReport", "time_energy_report"]
 
 INIT_OFFSET = (0.06, -0.05)   # first estimate: theta_true + this offset
-NEWTON_ITERS = 4              # damped Newton steps per likelihood refit
 GRID_POINTS = 7               # per-axis grid of the first refit's seed search
+FD_STEP = 1e-4                # finite-difference step of the Newton stencil
+DECREMENT_TOL = 1e-10         # Newton decrement g^T (-H)^{-1} g at convergence
+NEWTON_MAX_ITERS = 50         # Newton iterations per refit, at most
+STEP_HALVINGS = 10            # halvings of a rejected step before giving up
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ def _measurement_elements(frame, geom, weight):
     """Base-space POVM elements of the optimal two-parameter measurement
     constructed at the frame's point (dilated PVM compressed back)."""
     bound = cr_two_param(geom, weight)
-    vectors, basis = optimal_vectors_two_param(frame, weight, bound)
+    vectors, basis = optimal_vectors_two_param(frame, geom, weight, bound)
     pvm = construct_pvm_from_vectors(vectors)
     elements, _ = naimark_compress(pvm, basis)
     return elements
@@ -76,53 +79,74 @@ def _log_likelihood_factory(model, elements):
     return loglik
 
 
+def _stencil(m):
+    """Central-difference stencil of step ``FD_STEP``: the centre, +-e_i for
+    each i, then the four (+-e_i) + (+-e_j) for each pair i < j."""
+    e = FD_STEP * np.eye(m)
+    rows = [np.zeros(m)]
+    rows += [s for i in range(m) for s in (e[i], -e[i])]
+    rows += [s for i, j in combinations(range(m), 2)
+             for s in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])]
+    return np.array(rows)
+
+
+def _derivatives(f, m):
+    """Value, gradient and Hessian from the likelihood on ``_stencil(m)``."""
+    h = FD_STEP
+    fp, fm = f[1:2 * m + 1:2], f[2:2 * m + 1:2]
+    grad = (fp - fm) / (2 * h)
+    hess = np.diag((fp - 2 * f[0] + fm) / h**2)
+    pairs = combinations(range(m), 2)
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, f[2 * m + 1:].reshape(-1, 4)):
+        hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h**2)
+    return f[0], grad, hess
+
+
 def _maximize(loglik, theta0, radius, grid_points):
     """Trust-region maximization: coarse grid seed, then damped Newton with
-    central finite differences, steps clipped to the region.  The seed grid
-    is one batched likelihood call (the centre first, then the grid in scan
-    order; the first maximum wins), and so is each Newton stencil."""
+    central finite differences, steps clipped to the region.
+
+    The seed grid is one batched likelihood call (the centre first, then the
+    grid in scan order; the first maximum wins).  Every other call scores a
+    point together with its stencil, so an accepted candidate brings the
+    derivatives of the next iteration with it.  A step that lowers the
+    likelihood is halved, at most ``STEP_HALVINGS`` times.  The fit stops
+    when the Newton decrement g^T (-H)^{-1} g is at most ``DECREMENT_TOL``,
+    when the step is zero, or after ``NEWTON_MAX_ITERS`` iterations.
+    """
     theta0 = np.asarray(theta0, dtype=float)
     m = len(theta0)
-    pts = theta0[None]
+    best = theta0
     if grid_points > 1:
         axes = [np.linspace(-radius, radius, grid_points)] * m
         mesh = np.meshgrid(*axes, indexing="ij")
         offsets = np.stack([ax.ravel() for ax in mesh], axis=1)
-        pts = np.concatenate([pts, theta0 + offsets])
-    vals = loglik(pts)
-    k = int(np.argmax(vals))
-    best, best_val = pts[k], vals[k]
+        pts = np.concatenate([theta0[None], theta0 + offsets])
+        best = pts[int(np.argmax(loglik(pts)))]
 
-    # central-difference stencil: +-e_i for each i, then the four
-    # (+-e_i) + (+-e_j) for each pair i < j
-    h = 1e-4
-    e = h * np.eye(m)
-    pairs = list(combinations(range(m), 2))
-    stencil = np.array(
-        [s for i in range(m) for s in (e[i], -e[i])]
-        + [s for i, j in pairs
-           for s in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])
-    for _ in range(NEWTON_ITERS):
-        f = loglik(best + stencil)
-        fp, fm = f[:2 * m:2], f[1:2 * m:2]
-        grad = (fp - fm) / (2 * h)
-        hess = np.diag((fp - 2 * best_val + fm) / h**2)
-        for (i, j), (pp, pm, mp, mm) in zip(pairs, f[2 * m:].reshape(-1, 4)):
-            hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4 * h**2)
-        w = np.linalg.eigvalsh(hess)
-        if w[-1] < 0:
+    stencil = _stencil(m)
+    f = loglik(best + stencil)
+    for _ in range(NEWTON_MAX_ITERS):
+        val, grad, hess = _derivatives(f, m)
+        if np.linalg.eigvalsh(hess)[-1] < 0:
             step = -np.linalg.solve(hess, grad)
+            if grad @ step <= DECREMENT_TOL:
+                return best
         else:
             step = grad / max(np.linalg.norm(grad), 1e-12) * (0.1 * radius)
         nrm = np.linalg.norm(step)
+        if nrm == 0:
+            return best
         if nrm > radius:
             step = step * (radius / nrm)
-        cand = best + step
-        val = loglik(cand[None])[0]
-        if val >= best_val:
-            best, best_val = cand, val
+        for _ in range(STEP_HALVINGS + 1):
+            fc = loglik(best + step + stencil)
+            if fc[0] >= val:
+                best, f = best + step, fc
+                break
+            step = 0.5 * step
         else:
-            break
+            return best
     return best
 
 
@@ -149,11 +173,10 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     phi_true = frame_true.phi
 
     def law(elements):
-        """The elements as one array and their outcome probabilities at
-        theta_true, clipped and normalized once per measurement."""
-        p = np.clip([np.vdot(phi_true, e @ phi_true).real for e in elements],
-                    0, None)
-        return np.array(elements), p / p.sum()
+        """The elements and their outcome probabilities at theta_true,
+        clipped and normalized once per measurement."""
+        p = np.clip((elements @ phi_true @ phi_true.conj()).real, 0, None)
+        return elements, p / p.sum()
 
     def law_at(theta):
         frame = frame_at(model, theta)

@@ -346,7 +346,7 @@ class TestJsonOutput:
         weight = WeightMatrix.from_matrix(np.eye(2))
         bound = attainable_bound(geom, weight, model.pure)
         assert bound.method == "two_param"
-        vectors, basis = optimal_vectors_two_param(frame, weight, bound)
+        vectors, basis = optimal_vectors_two_param(frame, geom, weight, bound)
         pvm = construct_pvm_from_vectors(vectors, rng_seed=7)
         elements, _ = naimark_compress(pvm, basis)
         want = np.array(elements, dtype=complex)

@@ -5,7 +5,9 @@ from conftest import great_circle_model, synthetic_lift_model
 from qest.bounds import WeightMatrix, cr_coherent, cr_two_param, sld_bound
 from qest.geometry import info_geometry
 from qest.measurements import (
+    PVM_TOL,
     EstimationVectors,
+    PvmEstimator,
     classical_fisher,
     commuting_sld_estimator,
     construct_pvm_from_vectors,
@@ -15,7 +17,7 @@ from qest.measurements import (
     optimal_vectors_two_param,
     outcome_distribution,
 )
-from qest.models import frame_at, zoo_canonical, zoo_spin_coherent
+from qest.models import frame_at, sld_solve, zoo_canonical, zoo_spin_coherent
 from qest.operators import ValidationError
 
 
@@ -127,7 +129,7 @@ class TestConstructPvm:
         geom = info_geometry(frame)
         weight = WeightMatrix.from_matrix(np.array([[1.0, 0.2], [0.2, 2.0]]))
         bound = cr_two_param(geom, weight)
-        vectors, _ = optimal_vectors_two_param(frame, weight, bound)
+        vectors, _ = optimal_vectors_two_param(frame, geom, weight, bound)
         pvm = construct_pvm_from_vectors(vectors)
         pvm.validate()
         assert np.max(np.abs(pvm.meta["covariance"].real - bound.V_opt)) \
@@ -148,7 +150,7 @@ class TestOptimalVectors:
         geom = info_geometry(frame)
         bound = cr_two_param(geom, WeightMatrix.from_matrix(np.eye(2)))
         vectors, basis = optimal_vectors_two_param(
-            frame, WeightMatrix.from_matrix(np.eye(2)), bound)
+            frame, geom, WeightMatrix.from_matrix(np.eye(2)), bound)
         # X = L J^{S-1} = L here (J^S = I): compare through the embedding
         l_e = basis.conj().T @ np.column_stack(frame.lifts)
         assert np.max(np.abs(vectors.X[:l_e.shape[0]] - l_e)) <= 1e-8
@@ -161,7 +163,7 @@ class TestOptimalVectors:
         g = np.diag([1.0, 4.0])
         weight = WeightMatrix.from_matrix(g)
         bound = cr_two_param(geom, weight)
-        vectors, _ = optimal_vectors_two_param(frame, weight, bound)
+        vectors, _ = optimal_vectors_two_param(frame, geom, weight, bound)
         xx = (vectors.X.conj().T @ vectors.X).real
         assert abs(np.trace(g @ xx) - 9.0) <= 1e-8
 
@@ -172,7 +174,8 @@ class TestOptimalVectors:
         for g in [np.eye(2), geom.JS, np.array([[2.0, 0.4], [0.4, 1.0]])]:
             weight = WeightMatrix.from_matrix(g)
             bound = cr_two_param(geom, weight)
-            vectors, basis = optimal_vectors_two_param(frame, weight, bound)
+            vectors, basis = optimal_vectors_two_param(
+                frame, geom, weight, bound)
             pvm = construct_pvm_from_vectors(vectors)
             risk = np.trace(g @ pvm.meta["covariance"]).real
             assert abs(risk - bound.cr_value) <= 1e-8 * max(1.0,
@@ -250,7 +253,7 @@ class TestNaimark:
         geom = info_geometry(frame)
         weight = WeightMatrix.from_matrix(geom.JS)
         bound = cr_two_param(geom, weight)
-        vectors, basis = optimal_vectors_two_param(frame, weight, bound)
+        vectors, basis = optimal_vectors_two_param(frame, geom, weight, bound)
         pvm = construct_pvm_from_vectors(vectors)
         return frame, pvm, basis
 
@@ -285,6 +288,106 @@ class TestNaimark:
         assert not has_rem
         for e, proj in zip(elements, projectors):
             assert np.max(np.abs(e - proj)) <= 1e-12
+
+
+def _validate_loop(projectors, dim):
+    """Reference: the per-projector validation loop, one check at a time."""
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in projectors:
+        if np.max(np.abs(p - p.conj().T)) > PVM_TOL:
+            raise ValidationError("projector not Hermitian")
+        if np.max(np.abs(p @ p - p)) > PVM_TOL:
+            raise ValidationError("projector not idempotent")
+        total += p
+    if np.max(np.abs(total - np.eye(dim))) > PVM_TOL:
+        raise ValidationError("projectors do not sum to identity")
+
+
+def _naimark_loop(pvm, embedding):
+    """Reference: compress one projector at a time."""
+    base_dim, k = embedding.shape
+    elements = []
+    for proj in pvm.projectors:
+        elem = embedding @ proj[:k, :k] @ embedding.conj().T
+        elements.append(0.5 * (elem + elem.conj().T))
+    rem = np.eye(base_dim, dtype=complex) - sum(elements)
+    if np.max(np.abs(rem)) > 1e-9:
+        elements.append(0.5 * (rem + rem.conj().T))
+    return np.array(elements)
+
+
+def _pipelines():
+    """(pvm, embedding) of the two-parameter construction on spin 1/2, 1
+    and 3/2 at two weights each, and of a commuting-SLD estimator."""
+    out = []
+    for s, m_z in [(0.5, 0.5), (1.0, 0.0), (1.5, 0.5)]:
+        frame = frame_at(zoo_spin_coherent(s, m_z), np.array([0.9, 0.5]))
+        geom = info_geometry(frame)
+        for g in (geom.JS, np.array([[2.0, 0.4], [0.4, 1.0]])):
+            weight = WeightMatrix.from_matrix(g)
+            vectors, basis = optimal_vectors_two_param(
+                frame, geom, weight, cr_two_param(geom, weight))
+            out.append((construct_pvm_from_vectors(vectors), basis))
+    frame = sld_solve(zoo_canonical([0.0, 0.8, 1.7]), np.array([1.1]))
+    out.append((commuting_sld_estimator(frame, info_geometry(frame)),
+                np.eye(3, dtype=complex)))
+    return out
+
+
+class TestStackedPvm:
+    """The stacked validation and compression against the per-projector
+    loops they replace."""
+
+    # fixed before measuring: compressed elements are bounded by 1, and
+    # the stacked products may round differently from one 2-D product
+    COMPRESS_TOL = 1e-14
+
+    def test_pipelines_are_stacks(self):
+        for pvm, _ in _pipelines():
+            d = pvm.ambient_dim
+            assert pvm.projectors.shape == (len(pvm.estimates), d, d)
+            pvm.validate()
+            _validate_loop(pvm.projectors, d)
+
+    def test_compression_matches_the_loop(self):
+        for pvm, embedding in _pipelines():
+            got, has_rem = naimark_compress(pvm, embedding)
+            want = _naimark_loop(pvm, embedding)
+            assert got.shape == want.shape
+            assert has_rem == (len(got) > len(pvm.projectors))
+            assert np.max(np.abs(got - want)) <= self.COMPRESS_TOL
+
+    @staticmethod
+    def _qutrit_stack(defect=None):
+        """A 3-outcome qutrit PVM, with one defect of the given kind."""
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        projs = q.T[:, :, None] * q.T.conj()[:, None, :]
+        if defect == "Hermitian":
+            projs[1, 0, 2] += 1e-8
+        elif defect == "idempotent":
+            projs[1] *= 1.0 + 1e-8
+        elif defect == "sum to identity":
+            projs = projs[:2]
+        return projs
+
+    @pytest.mark.parametrize("defect", ["Hermitian", "idempotent",
+                                        "sum to identity"])
+    def test_spoiled_stack_raises(self, defect):
+        projs = self._qutrit_stack(defect)
+        with pytest.raises(ValidationError, match=defect):
+            _validate_loop(projs, 3)
+        pvm = PvmEstimator(projectors=projs,
+                           estimates=np.zeros((len(projs), 1)), ambient_dim=3)
+        with pytest.raises(ValidationError, match=defect):
+            pvm.validate()
+
+    def test_clean_stack_passes(self):
+        projs = self._qutrit_stack()
+        _validate_loop(projs, 3)
+        PvmEstimator(projectors=list(projs), estimates=np.zeros((3, 1)),
+                     ambient_dim=3).validate()
 
 
 class TestMeasurementCannotBeatSld:

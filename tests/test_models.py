@@ -401,6 +401,56 @@ class TestFockMemo:
             zoo_pm_shift(trunc_dim=16)
 
 
+class TestSpinFlowMemo:
+    """The spin-coherent S_x is diagonalized and checked once per (s, hbar)
+    and process, whatever m_z."""
+
+    @pytest.fixture
+    def eig_sizes(self, monkeypatch):
+        import qest.operators
+        real = qest.operators.hermitian_eigendecomposition
+        sizes = []
+
+        def counting(a):
+            sizes.append(np.shape(a)[0])
+            return real(a)
+
+        monkeypatch.setattr(qest.operators, "hermitian_eigendecomposition",
+                            counting)
+        models._spin_flow.cache_clear()
+        return sizes
+
+    def test_one_eigendecomposition_per_spin_and_hbar(self, eig_sizes):
+        up = zoo_spin_coherent(0.5, 0.5)
+        down = zoo_spin_coherent(0.5, -0.5)
+        assert eig_sizes == [2]
+        zoo_spin_coherent(1.5, 0.5)
+        zoo_spin_coherent(0.5, 0.5, hbar=0.7)
+        assert eig_sizes == [2, 4, 2]
+        th = np.array([0.8, -0.3])
+        models._spin_flow.cache_clear()
+        assert np.array_equal(up.state(th).vector,
+                              zoo_spin_coherent(0.5, 0.5).state(th).vector)
+        assert np.array_equal(down.state(th).vector,
+                              zoo_spin_coherent(0.5, -0.5).state(th).vector)
+
+    def test_invalid_spin_never_cached(self, eig_sizes):
+        for s, m_z in [(0.7, 0.5), (-0.5, -0.5), (0.5, 1.5), (1.0, 0.5)]:
+            with pytest.raises(ValidationError):
+                zoo_spin_coherent(s, m_z)
+        assert eig_sizes == []
+        assert models._spin_flow.cache_info().currsize == 0
+
+    def test_cached_flow_is_read_only(self):
+        flow = models._spin_flow(1.0, 1.0)
+        arrays = [c.cell_contents for c in flow.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        assert len(arrays) == 3   # w, u, u_adj
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestCanonical:
     def test_two_level_variance(self):
         model = zoo_canonical([0.0, 1.0])

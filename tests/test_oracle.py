@@ -217,7 +217,8 @@ class TestWarmStart:
         g = geom.JS.copy()
         weight = WeightMatrix.from_matrix(g)
         bound = cr_two_param(geom, weight)
-        vectors, embedding = optimal_vectors_two_param(frame, weight, bound)
+        vectors, embedding = optimal_vectors_two_param(
+            frame, geom, weight, bound)
         pvm = construct_pvm_from_vectors(vectors)
         dim = SearchConfig().resolved_dim(frame.m)
         warm = pvm_as_warm_start(pvm, embedding, frame, dim)
