@@ -217,6 +217,8 @@ def _cmd_boundary(args):
 
 
 def _cmd_measurement(args):
+    # the construction draws no random numbers; a given seed is still checked
+    _resolve_seed(args)
     model, theta = _load_model(args)
     frame = frame_at(model, theta)
     geom = info_geometry(frame)
@@ -234,7 +236,7 @@ def _cmd_measurement(args):
         else:
             vectors, basis = optimal_vectors_two_param(frame, geom, weight,
                                                       bound)
-        pvm = construct_pvm_from_vectors(vectors, rng_seed=_resolve_seed(args))
+        pvm = construct_pvm_from_vectors(vectors)
         elements, _ = naimark_compress(pvm, basis)
         name, cov = method, pvm.meta["covariance"].real
     else:

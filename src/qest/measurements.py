@@ -167,14 +167,15 @@ def _householder_orthogonal(k):
     return np.eye(k) - 2.0 * np.outer(w, w)
 
 
-def construct_pvm_from_vectors(vectors, rng_seed=0):
+def construct_pvm_from_vectors(vectors):
     """Projective measurement realizing the covariance Re X*X.
 
     Given estimation vectors (phi, X) with real Gram data (<phi|x^i> = 0,
     Im X*X = 0), orthonormalizes {phi, x^1..x^m} with real coefficients,
-    mixes the resulting basis by a real orthogonal O whose first column is
-    uniform (so every mixed vector overlaps phi), and returns the rank-one
-    projectors |b'_k><b'_k| plus a remainder projector with estimate theta.
+    mixes the resulting basis by the real orthogonal Householder O whose
+    first column is uniform (so every mixed vector overlaps phi), and
+    returns the rank-one projectors |b'_k><b'_k| plus a remainder projector
+    with estimate theta.
 
     Output covariance equals Re X*X and the measurement is locally unbiased;
     both are verified before returning.
@@ -190,22 +191,13 @@ def construct_pvm_from_vectors(vectors, rng_seed=0):
     # lam[i, j]: coefficient of x^i on basis vector j (row 0 of coeffs is phi)
     lam = coeffs[1:]
 
-    k = rank
-    o = _householder_orthogonal(k)
-    rng = None
-    for _ in range(32):
-        overlaps = o[:, 0]  # <b'_kappa | phi> since b^1 = phi
-        if np.min(np.abs(overlaps)) > 1e-9:
-            break
-        if rng is None:
-            rng = np.random.default_rng(rng_seed)
-        q, r = np.linalg.qr(rng.standard_normal((k, k)))
-        o = q * np.sign(np.diag(r))
-    else:
-        raise InternalConsistencyError("could not find an orthogonal mix "
-                                       "with nonzero overlaps")
+    o = _householder_orthogonal(rank)
+    # <b'_kappa | phi> = O[kappa, 0] since b^1 = phi: 1/sqrt(rank) each
+    if np.min(np.abs(o[:, 0])) <= 1e-9:
+        raise InternalConsistencyError("orthogonal mix has an outcome with "
+                                       "zero overlap")
 
-    bmat = np.column_stack(basis)          # dim x k
+    bmat = np.column_stack(basis)          # dim x rank
     bprime = (bmat @ o.T).T                # rows are b'_kappa
     projectors = bprime[:, :, None] * bprime.conj()[:, None, :]
     est = theta + (o @ lam.T) / o[:, :1]

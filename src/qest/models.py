@@ -145,14 +145,19 @@ def _align_phase(ref, vec):
     return vec * (ov.conjugate() / abs(ov))
 
 
-def tangents(model, theta):
+def tangents(model, theta, with_state=False):
     """List of d_i(state) at theta: the model's ``tangent_at`` when it has
     one, else central finite differences, with each neighbour of a pure
     state phase-aligned to the centre.  A pure model's 2m + 1 points come
-    from one :meth:`ParametricModel.states` call."""
+    from one :meth:`ParametricModel.states` call.  With ``with_state``, a
+    pure model's state vector at theta comes first, as ``(phi, list)``; it
+    is row 0 of that call when there is one."""
     theta = np.asarray(theta, dtype=float)
     if model.tangent_at is not None:
-        return [np.asarray(t, dtype=complex) for t in model.tangent_at(theta)]
+        dstates = [np.asarray(t, dtype=complex)
+                   for t in model.tangent_at(theta)]
+        return ((model.state(theta).vector, dstates) if with_state
+                else dstates)
 
     h = model.fd_step
     steps = h * np.eye(model.m)
@@ -162,7 +167,8 @@ def tangents(model, theta):
             [theta[None], theta + steps, theta - steps]))
         vp = [_align_phase(vs[0], v) for v in vs[1:model.m + 1]]
         vm = [_align_phase(vs[0], v) for v in vs[model.m + 1:]]
-        return [(p - q) / (2.0 * h) for p, q in zip(vp, vm)]
+        dstates = [(p - q) / (2.0 * h) for p, q in zip(vp, vm)]
+        return (vs[0], dstates) if with_state else dstates
     return [(model.state(theta + dt).rho - model.state(theta - dt).rho)
             / (2.0 * h) for dt in steps]
 
@@ -173,8 +179,7 @@ def horizontal_lift(model, theta):
     if not model.pure:
         raise ValidationError("horizontal_lift requires a pure model")
     theta = np.asarray(theta, dtype=float)
-    phi = model.state(theta).vector
-    dphis = tangents(model, theta)
+    phi, dphis = tangents(model, theta, with_state=True)
     lifts = []
     for dphi in dphis:
         l = 2.0 * (dphi - phi * np.vdot(phi, dphi))

@@ -347,7 +347,7 @@ class TestJsonOutput:
         bound = attainable_bound(geom, weight, model.pure)
         assert bound.method == "two_param"
         vectors, basis = optimal_vectors_two_param(frame, geom, weight, bound)
-        pvm = construct_pvm_from_vectors(vectors, rng_seed=7)
+        pvm = construct_pvm_from_vectors(vectors)
         elements, _ = naimark_compress(pvm, basis)
         want = np.array(elements, dtype=complex)
         assert got.shape == want.shape
@@ -409,6 +409,19 @@ class TestSeeding:
         monkeypatch.setenv("QESTIM_SEED", "not-a-number")
         assert run(["oracle", "--model", spin_spec, "--restarts", "1",
                     "--steps", "10"]) == 2
+        assert run(["measurement", "--model", spin_spec]) == 2
+
+    def test_measurement_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        # the PVM construction is deterministic; --seed is accepted only
+        path = write_spec(tmp_path, "spin32", {
+            "kind": "spin_coherent", "params": {"s": 1.5, "m_z": 0.5},
+            "theta": [0.9, 2.0]})
+        outs = []
+        for seed in ("1", "2", "999"):
+            assert run(["measurement", "--model", path, "--weight", "js",
+                        "--seed", seed, "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
 
 
 def _cold_run(argv):

@@ -85,6 +85,30 @@ class TestHorizontalLift:
                                + np.outer(frame.phi, l.conj()))
             assert np.max(np.abs(lift_form - drho)) <= 1e-6
 
+    def test_one_state_evaluation_per_frame(self):
+        model = zoo_spin_coherent(1.5, 0.5)
+        theta = np.array([0.9, 2.0])
+        calls = []
+
+        def state_at(t):
+            calls.append("state_at")
+            return model.state_at(t)
+
+        def states_at(ts):
+            calls.append("states_at")
+            return model.states_at(ts)
+
+        counted = dataclasses.replace(model, state_at=state_at,
+                                      states_at=states_at)
+        frame = frame_at(counted, theta)
+        # the centre is row 0 of the stack the finite differences come from
+        assert calls == ["states_at"]
+        phi = model.state(theta).vector
+        assert np.array_equal(frame.phi, phi)
+        want = [2.0 * (d - phi * np.vdot(phi, d))
+                for d in tangents(model, theta)]
+        assert all(np.array_equal(l, w) for l, w in zip(frame.lifts, want))
+
     def test_redundant_parameters_rejected(self):
         def state_at(theta):
             t = theta[0] + theta[1]   # both parameters move the same way

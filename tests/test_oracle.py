@@ -6,10 +6,12 @@ from qest.bounds import BoundResult, WeightMatrix, cr_two_param, sld_bound
 from qest.geometry import info_geometry
 from qest.measurements import construct_pvm_from_vectors, optimal_vectors_two_param
 from qest.models import (ParametricModel, _embed_frame, frame_at,
-                         zoo_spin_coherent)
+                         zoo_spin_coherent, zoo_squeezed)
 from qest.operators import (DERIV_FLOOR, PROB_FLOOR, InternalConsistencyError,
                             ValidationError, pure_state)
-from qest.oracle import (SearchConfig, _random_unitary, _risks,
+import qest.oracle as oracle_module
+from qest.oracle import (ANGLE_DECAY, INIT_ANGLE, SearchConfig,
+                         _random_unitary, _risks,
                          oracle_min_weighted_variance, verify_bound)
 
 FAST = SearchConfig(restarts=8, local_steps=600, seed=11)
@@ -281,3 +283,164 @@ class TestVerifyBound:
         too_high = BoundResult(cr_value=1.5 * reached, method="two_param")
         with pytest.raises(InternalConsistencyError, match="undercuts"):
             verify_bound(frame, geom, weight, too_high, FAST)
+
+
+def _reference_search(frame, g, cfg, warm_start=None):
+    """The hill climb as one synchronized step per proposal: every restart
+    scores one proposal per step, all restarts in one batch.  Returns
+    (best_value, best_basis, singular_fraction)."""
+    g = np.asarray(g, dtype=float)
+    dim = cfg.resolved_dim(frame.m)
+    _, phi_e, l_e = _embed_frame(frame, dim)
+    vecs = np.column_stack([phi_e, l_e])
+
+    starts = [(s, None)
+              for s in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)]
+    if warm_start is not None:
+        if warm_start.shape != (dim, dim):
+            raise ValidationError("warm start has wrong dimension")
+        starts.insert(0, (0, warm_start))
+    steps = cfg.local_steps
+    bases, draws = [], []
+    for seed, start in starts:
+        rng = np.random.default_rng(seed)
+        bases.append(_random_unitary(rng, dim) if start is None
+                     else start.astype(complex))
+        draws.append((rng.integers(dim, size=steps),
+                      rng.integers(1, dim, size=steps),
+                      rng.standard_normal(steps),
+                      rng.uniform(0.0, 2.0 * np.pi, size=steps)))
+    cols_i, offsets, normals, phases = (np.array(x).T for x in zip(*draws))
+    cols_j = (cols_i + offsets) % dim
+    angles = INIT_ANGLE * ANGLE_DECAY ** np.arange(steps)[:, None] * normals
+    cosines = np.cos(angles)[..., None]
+    shifts = (np.sin(angles) * np.exp(1j * phases))[..., None]
+
+    adj = np.array(bases).conj().transpose(0, 2, 1)
+    held = np.concatenate([adj, adj @ vecs], axis=2)
+    value = _risks(held[..., dim], held[..., dim + 1:], g)
+    n_singular = int(np.sum(~np.isfinite(value)))
+    rows = np.arange(len(starts))
+    for t in range(steps):
+        i, j, c, s = cols_i[t], cols_j[t], cosines[t], shifts[t]
+        h_i, h_j = held[rows, i], held[rows, j]
+        cand = held.copy()
+        cand[rows, i] = c * h_i + s * h_j
+        cand[rows, j] = c * h_j - s.conj() * h_i
+        cand_value = _risks(cand[..., dim], cand[..., dim + 1:], g)
+        better = cand_value < value
+        held = np.where(better[:, None, None], cand, held)
+        value = np.where(better, cand_value, value)
+
+    amps = held[..., :dim] @ vecs
+    value = _risks(amps[..., 0], amps[..., 1:], g)
+    best = int(np.argmin(value))
+    if not np.isfinite(value[best]):
+        raise ValidationError(
+            "all restarts singular: only the interval "
+            "[Tr G J^{S-1}, inf) is available")
+    return (float(value[best]), held[best, :, :dim].conj().T,
+            n_singular / len(starts))
+
+
+JT3 = np.array([[0.0, -0.5, 0.2], [0.5, 0.0, -0.3], [-0.2, 0.3, 0.0]])
+
+# Search paths, forced through the cost model: the one the model picks,
+# synchronized steps only, and rounds from the first look (every step) with
+# the block size the model picks or a fixed block of 3 proposals.
+PATHS = {
+    "chosen": {},
+    "never": {"SWITCH_MARGIN": 0.0},
+    "first_check": {"_rounds_pay": lambda rate, active: True,
+                    "CHECK_EVERY": 1},
+    "first_check_k3": {"_rounds_pay": lambda rate, active: True,
+                       "CHECK_EVERY": 1, "ROUND_COST": (1e9, 0.0),
+                       "MAX_BLOCK": 3},
+}
+
+
+def _search_on(path, monkeypatch, frame, g, cfg, warm_start=None):
+    with monkeypatch.context() as mp:
+        for name, value in PATHS[path].items():
+            mp.setattr(oracle_module, name, value)
+        return oracle_min_weighted_variance(frame, g, cfg=cfg,
+                                            warm_start=warm_start)
+
+
+def _same(res, ref):
+    return (res.best_value == ref[0]
+            and np.array_equal(res.best_basis, ref[1])
+            and res.singular_fraction == ref[2])
+
+
+class TestSpeculativeRounds:
+    """Every path of the search gives the bits of the synchronized steps."""
+
+    CASES = [
+        (zoo_spin_coherent(0.5, 0.5), np.array([1.0, 0.4]), "js", None),
+        (zoo_spin_coherent(1.5, 0.5), np.array([0.9, 2.0]), "js", None),
+        (real_sphere_model(), np.array([0.7, 0.4]), "identity", None),
+        (great_circle_model(), np.array([0.8]), "identity", None),
+        (*synthetic_lift_model(JT3), "identity", None),
+        (zoo_squeezed(trunc_dim=64), np.array([0.1, -0.05, 0.3, 0.2]),
+         "js", 9),
+    ]
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5, 17])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_every_path_matches_the_synchronized_steps(self, case, restarts,
+                                                       monkeypatch):
+        model, theta, kind, dilate = self.CASES[case]
+        frame = frame_at(model, theta)
+        g = TestBatchedSearch._weight(model, theta, kind)
+        rounds_run = 0
+        for steps in (0, 1, 3, 7, 64, 301):
+            for seed in (3, 2024):
+                cfg = SearchConfig(restarts=restarts, local_steps=steps,
+                                   seed=seed, dilate_dim=dilate)
+                ref = _reference_search(frame, g, cfg)
+                for path in PATHS:
+                    res = _search_on(path, monkeypatch, frame, g, cfg)
+                    assert _same(res, ref), (path, steps, seed)
+                    if path == "never":
+                        assert res.switch_step == steps
+                    if path.startswith("first_check") and steps > 1:
+                        assert res.switch_step == 1
+                        rounds_run += 1
+        assert rounds_run == 2 * 2 * 4
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_warm_and_infinite_risk_starts(self, path, monkeypatch):
+        model = zoo_spin_coherent(0.5, 0.5)
+        theta = np.array([1.0, 0.4])
+        frame = frame_at(model, theta)
+        geom = info_geometry(frame)
+        g = geom.JS.copy()
+        weight = WeightMatrix.from_matrix(g)
+        bound = cr_two_param(geom, weight)
+        vectors, embedding = optimal_vectors_two_param(
+            frame, geom, weight, bound)
+        dim = SearchConfig().resolved_dim(frame.m)
+        warm = pvm_as_warm_start(construct_pvm_from_vectors(vectors),
+                                 embedding, frame, dim)
+        # the standard basis: phi is its first vector, so J_M = 0
+        singular = np.eye(dim, dtype=complex)
+        phi_e, l_e = _embedded(model, theta, dim)
+        assert _risk_of_basis(singular, phi_e, l_e, g) == np.inf
+        for start in (warm, singular):
+            for steps in (7, 300):
+                cfg = SearchConfig(restarts=3, local_steps=steps, seed=8)
+                ref = _reference_search(frame, g, cfg, warm_start=start)
+                res = _search_on(path, monkeypatch, frame, g, cfg,
+                                 warm_start=start)
+                assert _same(res, ref)
+        assert res.singular_fraction == 0.25
+
+    def test_interval_budget_switches_on_spin_not_on_explicit3(self):
+        cfg = SearchConfig(restarts=16, local_steps=1000, seed=7)
+        spin = frame_at(zoo_spin_coherent(0.5, 0.5), np.array([1.0, 0.5]))
+        res = oracle_min_weighted_variance(spin, info_geometry(spin).JS, cfg)
+        assert 0 < res.switch_step < cfg.local_steps
+        explicit3 = frame_at(*synthetic_lift_model(JT3))
+        res = oracle_min_weighted_variance(explicit3, np.eye(3), cfg)
+        assert res.switch_step == cfg.local_steps
