@@ -155,14 +155,22 @@ def _minimize_on_curve(g1, g2, beta):
 
 
 def _so2_diagonalizer(g):
-    """Proper rotation R (det +1) with R^T g R diagonal, larger eigenvalue
-    first.  Properness keeps the sign of the antisymmetric part intact."""
+    """Proper rotations R (det +1) with R^T g R diagonal, larger eigenvalue
+    first, for a (T, 2, 2) stack of symmetric matrices.  Properness keeps
+    the sign of the antisymmetric part intact."""
     w, r = np.linalg.eigh(g)
     # eigh returns ascending; we want descending
-    r = r[:, ::-1]
-    if np.linalg.det(r) < 0:
-        r[:, 1] = -r[:, 1]
-    return r, w[::-1]
+    r = r[..., ::-1].copy()
+    flip = r[:, 0, 0] * r[:, 1, 1] < r[:, 0, 1] * r[:, 1, 0]
+    r[:, :, 1] *= 1 - 2 * flip[:, None]
+    return r, w[..., ::-1]
+
+
+def _normalized_weight(s_inv_half, g):
+    """G in the coordinates where J^S = I: J^{S-1/2} G J^{S-1/2},
+    symmetrized, for one J^{S-1/2} or a stack of them."""
+    g_n = s_inv_half @ g @ s_inv_half
+    return 0.5 * (g_n + g_n.swapaxes(-1, -2))
 
 
 def cr_two_param(geom, weight):
@@ -176,13 +184,8 @@ def cr_two_param(geom, weight):
     """
     if geom.m != 2:
         raise ValidationError("cr_two_param requires a 2-parameter model")
-    g = weight.G
-    s_half, s_inv = geom.S_half, geom.S_inv_half
-    beta_signed = geom.N[1, 0]
-    beta = abs(beta_signed)
-    g_n = s_inv @ g @ s_inv
-    g_n = 0.5 * (g_n + g_n.T)
-
+    s_inv = geom.S_inv_half
+    g_n = _normalized_weight(s_inv, weight.G)
     gw = np.linalg.eigvalsh(g_n)
     rank1 = gw[0] <= SINGULAR_RTOL * max(1.0, gw[-1])
 
@@ -201,18 +204,53 @@ def cr_two_param(geom, weight):
                                     "incompatible pair: infimum only")
         # attained on the half-line: unit variance in the weighted direction,
         # the free direction inflated to v = 1 + 2 beta^2 / (1 - beta^2)
-        r, _ = _so2_diagonalizer(g_n)
+        beta = abs(geom.N[1, 0])
+        r = _so2_diagonalizer(g_n[None])[0][0]
         v_line = np.diag([1.0, 1.0 + 2.0 * beta**2 / (1.0 - beta**2)])
         v_opt = s_inv @ (r @ v_line @ r.T) @ s_inv
         return BoundResult(cr_value=float(value), method="two_param",
                            V_opt=v_opt)
 
-    if geom.coherent:
+    value, v_opt, lam, _ = _two_param_stack(
+        g_n[None], geom.S_half[None], s_inv[None], geom.N[None, 1, 0],
+        [geom.coherent])
+    return BoundResult(cr_value=float(value[0]), method="two_param",
+                       V_opt=v_opt[0], Lambda=lam[0])
+
+
+def _two_param_stack(g_n, s_half, s_inv_half, beta_signed, coherent):
+    """The full-rank case of :func:`cr_two_param` for a stack of points:
+    (T, 2, 2) normalized weights ``g_n`` and roots of J^S, (T,) signed betas
+    and coherent flags.  Returns the values (T,), V_opt and Lambda as
+    (T, 2, 2) stacks, and the rotations R that diagonalize ``g_n``.  The
+    curve is minimized row by row."""
+    r, gw = _so2_diagonalizer(g_n)
+    rows = zip(gw[:, 0].tolist(), gw[:, 1].tolist(), beta_signed.tolist(),
+               coherent)
+    # per row u, v, the value and g1 lambda; R diag(u, v) is R scaled by
+    # column, and R [[0, -g1 lambda], [g1 lambda, 0]] is R with its
+    # columns swapped and scaled by (g1 lambda, -g1 lambda)
+    out = np.array([_curve_optimum(*row) for row in rows])
+    r_t = r.swapaxes(1, 2)
+    v_opt = s_inv_half @ ((r * out[:, None, :2]) @ r_t) @ s_inv_half
+    lam_rot = r[..., ::-1] * (out[:, 3, None, None] * np.array([1.0, -1.0]))
+    lam_full = s_half @ (lam_rot @ r_t) @ s_half
+    return out[:, 2], 0.5 * (v_opt + v_opt.swapaxes(1, 2)), lam_full, r
+
+
+def _curve_optimum(g1, g2, beta_signed, coherent):
+    """Normalized variances u, v, the value and g1 lambda (lambda the
+    Lagrange multiplier) of one point, from the weight's eigenvalues
+    g1 >= g2 and the signed beta; the stationarity system is checked as a
+    residual.  A rank-one weight has no finite optimizer here."""
+    if g2 <= SINGULAR_RTOL * max(1.0, g1):
+        raise ValidationError("rank-one weight: no finite optimizer")
+    beta = abs(beta_signed)
+    if coherent:
         # classified coherent: use the exact beta = 1 curve (the bisection
         # bracket degenerates as beta -> 1 and loses accuracy)
         beta_signed = np.copysign(1.0, beta_signed) if beta_signed else 1.0
         beta = 1.0
-    r, (g1, g2) = _so2_diagonalizer(g_n)
     u, v, value = _minimize_on_curve(g1, g2, beta)
 
     # Lagrange multiplier and stationarity residuals, in the normalized
@@ -226,13 +264,7 @@ def cr_two_param(geom, weight):
     if max(abs(r1), abs(r2)) > LAGRANGE_RESIDUAL_TOL * scale:
         raise InternalConsistencyError(
             f"stationarity residuals too large: {r1:.3e}, {r2:.3e}")
-
-    v_rot = np.diag([u, v])
-    lam_rot = g1 * np.array([[0.0, -lam], [lam, 0.0]])
-    v_opt = s_inv @ (r @ v_rot @ r.T) @ s_inv
-    lam_full = s_half @ (r @ lam_rot @ r.T) @ s_half
-    return BoundResult(cr_value=float(value), method="two_param",
-                       V_opt=0.5 * (v_opt + v_opt.T), Lambda=lam_full)
+    return u, v, value, g1 * lam
 
 
 def boundary_curve(beta, samples=100, x_range=None):

@@ -51,20 +51,12 @@ class InfoGeometry:
     coherent: bool = field(init=False)
 
     def __post_init__(self):
-        js, jt = self.JS, self.Jtilde
-        m = js.shape[0]
-        n_skew, s_half, s_inv_half = _normalized_skew(js, jt)
-        beta_pairs, n_zero = _pair_betas(n_skew, m)
-        if beta_pairs and beta_pairs[0] > 1.0 + 1e-9:
-            raise InternalConsistencyError(
-                f"beta = {beta_pairs[0]!r} exceeds 1; invalid frame")
-        quasi = np.max(np.abs(jt)) <= (QUASI_CLASSICAL_RTOL
-                                       * max(np.max(np.abs(js)), 1e-300))
-        coherent = (m % 2 == 0 and len(beta_pairs) == m // 2 and
-                    all(abs(b - 1.0) <= COHERENT_BETA_TOL for b in beta_pairs))
-        derived = {"N": n_skew, "S_half": s_half, "S_inv_half": s_inv_half,
+        n, s_half, s_inv_half, rows = _derive_stack(self.JS[None],
+                                                    self.Jtilde[None])
+        beta_pairs, n_zero, quasi, coherent = rows[0]
+        derived = {"N": n[0], "S_half": s_half[0], "S_inv_half": s_inv_half[0],
                    "beta_pairs": beta_pairs, "n_zero": n_zero,
-                   "quasi_classical": bool(quasi), "coherent": bool(coherent)}
+                   "quasi_classical": quasi, "coherent": coherent}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -81,19 +73,39 @@ class InfoGeometry:
         return np.array(sorted(out, reverse=True))
 
 
+def _derive_stack(js, jt):
+    """The derived fields of :class:`InfoGeometry` for a (T, m, m) stack of
+    (J^S, J~) pairs: N, S_half and S_inv_half with a leading row axis, and
+    per row the tuple (beta_pairs, n_zero, quasi_classical, coherent)."""
+    m = js.shape[-1]
+    n_skew, s_half, s_inv_half = _normalized_skew(js, jt)
+    quasi = np.abs(jt).max(axis=(1, 2)) <= QUASI_CLASSICAL_RTOL * np.maximum(
+        np.abs(js).max(axis=(1, 2)), 1e-300)
+    rows = []
+    for sv, q in zip(np.linalg.svd(n_skew, compute_uv=False), quasi.tolist()):
+        beta_pairs, n_zero = _pair_betas(sv, m)
+        if beta_pairs and beta_pairs[0] > 1.0 + 1e-9:
+            raise InternalConsistencyError(
+                f"beta = {beta_pairs[0]!r} exceeds 1; invalid frame")
+        coherent = (m % 2 == 0 and len(beta_pairs) == m // 2 and all(
+            abs(b - 1.0) <= COHERENT_BETA_TOL for b in beta_pairs))
+        rows.append((beta_pairs, n_zero, q, coherent))
+    return n_skew, s_half, s_inv_half, rows
+
+
 def _normalized_skew(js, jt):
     """N = J^{S-1/2} J~ J^{S-1/2} and the symmetric roots J^{S1/2},
-    J^{S-1/2}.  For m = 2, N = [[0, -b], [b, 0]] with b the signed beta."""
+    J^{S-1/2}, for each matrix of a stack.  For m = 2,
+    N = [[0, -b], [b, 0]] with b the signed beta."""
     s_half, s_inv_half = _sqrtm_psd(js, inverse=True)
     n = s_inv_half @ jt @ s_inv_half
-    n = 0.5 * (n - n.T)
+    n = 0.5 * (n - n.swapaxes(-1, -2))
     return n, s_half, s_inv_half
 
 
-def _pair_betas(n_skew, m):
-    """Singular values of the normalized antisymmetric matrix come in equal
-    pairs (plus zeros); collapse them to one beta per pair."""
-    sv = np.linalg.svd(n_skew, compute_uv=False)
+def _pair_betas(sv, m):
+    """The singular values ``sv`` of a normalized antisymmetric matrix come
+    in equal pairs (plus zeros); collapse them to one beta per pair."""
     sv = np.sort(sv)[::-1]
     pairs = []
     i = 0
@@ -109,22 +121,28 @@ def _pair_betas(n_skew, m):
     return tuple(pairs), n_zero
 
 
+def _lift_gram(lifts):
+    """J^S and J~ of each row of a (T, m, d) stack of pure-state lifts:
+    J^S + i J~ is their Gram matrix."""
+    c = np.vecdot(lifts[:, :, None, :], lifts[:, None, :, :])
+    return (0.5 * (c.real + c.real.swapaxes(1, 2)),
+            0.5 * (c.imag - c.imag.swapaxes(1, 2)))
+
+
 def info_geometry(frame):
     """Compute :class:`InfoGeometry` from a tangent frame.
 
     Pure models: J^S + i J~ = the Gram matrix of the horizontal lifts.
     Faithful models: the same with <l_i|l_j> replaced by tr rho L_i L_j.
     """
+    if frame.pure:
+        js, jt = _lift_gram(np.array(frame.lifts)[None])
+        return InfoGeometry(JS=js[0], Jtilde=jt[0])
     m = frame.m
     c = np.zeros((m, m), dtype=complex)
-    if frame.pure:
-        for i in range(m):
-            for j in range(m):
-                c[i, j] = np.vdot(frame.lifts[i], frame.lifts[j])
-    else:
-        for i in range(m):
-            for j in range(m):
-                c[i, j] = np.trace(frame.rho @ frame.slds[i] @ frame.slds[j])
+    for i in range(m):
+        for j in range(m):
+            c[i, j] = np.trace(frame.rho @ frame.slds[i] @ frame.slds[j])
     return InfoGeometry(JS=0.5 * (c.real + c.real.T),
                         Jtilde=0.5 * (c.imag - c.imag.T))
 

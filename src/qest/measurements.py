@@ -5,6 +5,7 @@ two-parameter exact bound (built from estimation vectors in a dilated space),
 the commuting-SLD estimator for faithful models, and Naimark compression.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,11 +16,11 @@ from .operators import (
     SINGULAR_RTOL,
     InternalConsistencyError,
     ValidationError,
+    _gram_schmidt_stack,
     _sqrtm_psd,
-    gram_schmidt_real_coefficients,
 )
-from .models import _embed_frame
-from .bounds import _so2_diagonalizer
+from .models import _embed_frame, _embed_stack
+from .bounds import _normalized_weight, _so2_diagonalizer
 
 __all__ = [
     "PvmEstimator",
@@ -60,13 +61,18 @@ class PvmEstimator:
         self.estimates = np.asarray(self.estimates, dtype=float)
 
     def validate(self):
-        p = self.projectors
-        if np.max(np.abs(p - p.swapaxes(1, 2).conj())) > PVM_TOL:
-            raise ValidationError("projector not Hermitian")
-        if np.max(np.abs(p @ p - p)) > PVM_TOL:
-            raise ValidationError("projector not idempotent")
-        if np.max(np.abs(p.sum(axis=0) - np.eye(self.ambient_dim))) > PVM_TOL:
-            raise ValidationError("projectors do not sum to identity")
+        _check_pvm(self.projectors, self.ambient_dim)
+
+
+def _check_pvm(p, dim):
+    """Hermitian idempotent projectors summing to the identity: a (K, d, d)
+    stack, or a (T, K, d, d) stack of them."""
+    if np.abs(p - p.swapaxes(-1, -2).conj()).max() > PVM_TOL:
+        raise ValidationError("projector not Hermitian")
+    if np.abs(p @ p - p).max() > PVM_TOL:
+        raise ValidationError("projector not idempotent")
+    if np.abs(p.sum(axis=-3) - np.eye(dim)).max() > PVM_TOL:
+        raise ValidationError("projectors do not sum to identity")
 
 
 @dataclass(frozen=True)
@@ -153,18 +159,23 @@ def optimal_postprocessing(p, dp, g):
     return value, corrections
 
 
+@functools.cache
 def _householder_orthogonal(k):
     """Symmetric orthogonal (k x k) matrix whose first column is the uniform
-    vector (1,...,1)/sqrt(k): the Householder reflection swapping e_1 with it."""
+    vector (1,...,1)/sqrt(k): the Householder reflection swapping e_1 with
+    it.  Built once per k, read-only."""
     c = np.full(k, 1.0 / np.sqrt(k))
     e1 = np.zeros(k)
     e1[0] = 1.0
     w = e1 - c
     nw = np.linalg.norm(w)
     if nw < 1e-14:
-        return np.eye(k)
-    w /= nw
-    return np.eye(k) - 2.0 * np.outer(w, w)
+        o = np.eye(k)
+    else:
+        w /= nw
+        o = np.eye(k) - 2.0 * np.outer(w, w)
+    o.flags.writeable = False
+    return o
 
 
 def construct_pvm_from_vectors(vectors):
@@ -180,67 +191,91 @@ def construct_pvm_from_vectors(vectors):
     Output covariance equals Re X*X and the measurement is locally unbiased;
     both are verified before returning.
     """
-    phi = vectors.phi
-    xs = [vectors.X[:, i] for i in range(vectors.X.shape[1])]
-    theta = vectors.theta
-    dim = len(phi)
+    phi = np.asarray(vectors.phi, dtype=complex)
+    projectors, est, cov = _pvm_stack(
+        phi[None], np.asarray(vectors.X, dtype=complex)[None],
+        np.asarray(vectors.theta, dtype=float)[None])
+    pvm = PvmEstimator(projectors=projectors[0], estimates=est[0],
+                       ambient_dim=len(phi))
+    pvm.meta["covariance"] = cov[0]
+    return pvm
 
-    basis, coeffs, rank = gram_schmidt_real_coefficients([phi] + xs)
-    if dim < rank:
+
+def _pvm_stack(phi, x, theta):
+    """:func:`construct_pvm_from_vectors` for a stack of T rows: states
+    (T, D), vectors (T, D, m) and points (T, m).  Returns the projectors
+    (T, K, D, D), the estimates (T, K, m) and the covariances (T, m, m),
+    every row verified.  Every row must have the same rank."""
+    dim = phi.shape[1]
+    basis, coeffs, rank = _gram_schmidt_stack(
+        np.concatenate([phi[:, None, :], x.swapaxes(1, 2)], axis=1))
+    r = int(rank[0])
+    if (rank != r).any():
+        raise ValidationError("stacked estimation vectors differ in rank")
+    if dim < r:
         raise ValidationError("ambient space too small for the construction")
-    # lam[i, j]: coefficient of x^i on basis vector j (row 0 of coeffs is phi)
-    lam = coeffs[1:]
+    # rows of basis are b^1 = phi, b^2, ...; lam[t, i, j]: coefficient of
+    # x^i on basis vector j (row 0 of coeffs is phi)
+    basis = basis[:, :r]
+    lam = coeffs[:, 1:, :r]
 
-    o = _householder_orthogonal(rank)
+    o = _householder_orthogonal(r)
     # <b'_kappa | phi> = O[kappa, 0] since b^1 = phi: 1/sqrt(rank) each
     if np.min(np.abs(o[:, 0])) <= 1e-9:
         raise InternalConsistencyError("orthogonal mix has an outcome with "
                                        "zero overlap")
 
-    bmat = np.column_stack(basis)          # dim x rank
-    bprime = (bmat @ o.T).T                # rows are b'_kappa
-    projectors = bprime[:, :, None] * bprime.conj()[:, None, :]
-    est = theta + (o @ lam.T) / o[:, :1]
-    rem = np.eye(dim, dtype=complex) - bmat @ bmat.conj().T
-    if np.max(np.abs(rem)) > PVM_TOL:
-        projectors = np.concatenate([projectors, rem[None]])
-        est = np.concatenate([est, theta[None]])
-
-    pvm = PvmEstimator(projectors=projectors, estimates=est, ambient_dim=dim)
-    pvm.validate()
+    bprime = o @ basis                     # rows are b'_kappa
+    projectors = bprime[..., :, None] * bprime.conj()[..., None, :]
+    est = theta[:, None] + (o @ lam.swapaxes(1, 2)) / o[:, :1]
+    rem = np.eye(dim) - basis.swapaxes(1, 2) @ basis.conj()
+    has_rem = np.abs(rem).max(axis=(1, 2)) > PVM_TOL
+    if (has_rem != has_rem[0]).any():
+        raise ValidationError("stacked measurements differ in remainder")
+    if has_rem[0]:
+        projectors = np.concatenate([projectors, rem[:, None]], axis=1)
+        est = np.concatenate([est, theta[:, None]], axis=1)
+    _check_pvm(projectors, dim)
 
     # verify local unbiasedness and the covariance identity
-    p = (projectors @ phi @ phi.conj()).real
-    mean = p @ est
-    if np.max(np.abs(mean - theta)) > UNBIASED_TOL:
+    p = ((projectors @ phi[:, None, :, None])[..., 0]
+         @ phi.conj()[:, :, None])[..., 0].real
+    mean = (p[:, None] @ est)[:, 0]
+    if np.abs(mean - theta).max() > UNBIASED_TOL:
         raise InternalConsistencyError("constructed PVM is biased")
-    dev = est - theta
-    cov = (dev * p[:, None]).T @ dev
-    target = (vectors.X.conj().T @ vectors.X).real
-    if np.max(np.abs(cov - target)) > 1e-9 * max(1.0, np.max(np.abs(target))):
+    dev = est - theta[:, None]
+    cov = (dev * p[..., None]).swapaxes(1, 2) @ dev
+    target = (x.conj().swapaxes(1, 2) @ x).real
+    if (np.abs(cov - target).max(axis=(1, 2)) > 1e-9 * np.maximum(
+            1.0, np.abs(target).max(axis=(1, 2)))).any():
         raise InternalConsistencyError(
             "constructed PVM covariance does not match Re X*X")
-    pvm.meta["covariance"] = cov
-    return pvm
+    return projectors, est, cov
 
 
 def _verified_vectors(frame, phi_e, l_e, x_e, v_opt):
     """Estimation vectors after checking Re X*L = I, Im X*X = 0,
     Re X*X = V and <phi|x^i> = 0 in the dilated space."""
-    xl = x_e.conj().T @ l_e
-    dev = np.max(np.abs(xl.real - np.eye(frame.m)))
-    if dev > XCHECK_TOL:
-        raise InternalConsistencyError(f"Re X*L != I (max dev {dev:.3e})")
-    xx = x_e.conj().T @ x_e
-    scale = max(1.0, np.max(np.abs(xx)))
-    if np.max(np.abs(xx.imag)) > XCHECK_TOL * scale:
-        raise InternalConsistencyError("Im X*X != 0")
-    if np.max(np.abs(xx.real - v_opt)) > XCHECK_TOL * scale:
-        raise InternalConsistencyError("Re X*X != V")
-    if np.max(np.abs(x_e.conj().T @ phi_e)) > XCHECK_TOL:
-        raise InternalConsistencyError("<phi|x^i> != 0")
+    _verify_stack(phi_e[None], l_e[None], x_e[None], v_opt[None])
     return EstimationVectors(phi=phi_e, X=x_e,
                              theta=np.asarray(frame.theta, dtype=float))
+
+
+def _verify_stack(phi_e, l_e, x_e, v_opt):
+    """The checks of :func:`_verified_vectors`, on each row of a stack."""
+    m = x_e.shape[2]
+    x_adj = x_e.conj().swapaxes(1, 2)
+    dev = np.abs((x_adj @ l_e).real - np.eye(m)).max()
+    if dev > XCHECK_TOL:
+        raise InternalConsistencyError(f"Re X*L != I (max dev {dev:.3e})")
+    xx = x_adj @ x_e
+    scale = np.maximum(1.0, np.abs(xx).max(axis=(1, 2)))
+    if (np.abs(xx.imag).max(axis=(1, 2)) > XCHECK_TOL * scale).any():
+        raise InternalConsistencyError("Im X*X != 0")
+    if (np.abs(xx.real - v_opt).max(axis=(1, 2)) > XCHECK_TOL * scale).any():
+        raise InternalConsistencyError("Re X*X != V")
+    if np.abs(x_adj @ phi_e[:, :, None]).max() > XCHECK_TOL:
+        raise InternalConsistencyError("<phi|x^i> != 0")
 
 
 def optimal_vectors_sld(frame, bound):
@@ -278,38 +313,68 @@ def optimal_vectors_two_param(frame, geom, weight, bound):
         raise ValidationError("requires a 2-parameter pure model")
     if bound.V_opt is None:
         raise ValidationError("bound carries no optimizer (infimum only?)")
+    if not geom.coherent and bound.Lambda is None:
+        raise ValidationError("bound carries no Lagrange multiplier")
     g = np.asarray(weight.G, dtype=float)
-    v_opt = bound.V_opt
+    lam = np.full((2, 2), np.nan) if bound.Lambda is None else bound.Lambda
+    s_inv = geom.S_inv_half[None]
+    r = (_so2_diagonalizer(_normalized_weight(s_inv, g))[0] if geom.coherent
+         else None)
+    phi_e, x_e, basis = _two_param_vectors(
+        frame.phi[None], np.array(frame.lifts)[None], geom.S_half[None],
+        s_inv, np.array([geom.coherent]), g, bound.V_opt[None], lam[None], r)
+    return (EstimationVectors(phi=phi_e[0], X=x_e[0],
+                              theta=np.asarray(frame.theta, dtype=float)),
+            basis[0])
 
-    dilate_dim = 2 * frame.m + 1
-    basis, phi_e, l_e = _embed_frame(frame, dilate_dim)
-    span_k = basis.shape[1]
 
-    s_half, s_inv = geom.S_half, geom.S_inv_half
-    if not geom.coherent:
-        if bound.Lambda is None:
-            raise ValidationError("bound carries no Lagrange multiplier")
-        x_e = l_e @ v_opt @ g @ np.linalg.inv(g - 1j * bound.Lambda)
-    else:
+def _two_param_vectors(phis, lifts, s_half, s_inv, coherent, g, v_opt, lam,
+                       r):
+    """:func:`optimal_vectors_two_param` for a stack of T frames, given as
+    (T, d) states and (T, 2, d) lifts, the (T, 2, 2) roots of J^S, the (T,)
+    coherent flags, the weight G, (T, 2, 2) stacks of V_opt and Lambda (read
+    only on rows that are not coherent), and of the proper rotations R that
+    diagonalize J^{S-1/2} G J^{S-1/2} (read only on coherent rows).  Returns
+    the dilated states (T, 5), vectors (T, 5, 2) and embeddings (T, d, k),
+    every row verified."""
+    dilate_dim = 2 * lifts.shape[1] + 1
+    basis, phi_e, l_e = _embed_stack(phis, lifts, dilate_dim)
+    span_k = basis.shape[2]
+    x_e = np.empty_like(l_e)
+    plain = ~coherent
+    if plain.any():
+        rows = slice(None) if plain.all() else plain
+        x_e[rows] = (l_e[rows] @ v_opt[rows] @ g
+                     @ np.linalg.inv(g - 1j * lam[rows]))
+    if coherent.any():
         if span_k + 2 > dilate_dim:
             raise InternalConsistencyError("dilated space too small")
-        g_n = s_inv @ g @ s_inv
-        r, _ = _so2_diagonalizer(0.5 * (g_n + g_n.T))
-        l_rot = l_e @ s_inv @ r
-        v_rot = r.T @ (s_half @ v_opt @ s_half) @ r
-        q = v_rot - l_rot.conj().T @ l_rot
-        q = 0.5 * (q + q.conj().T)
-        wq = np.linalg.eigvalsh(q)
-        if wq[0] < -1e-7:
-            raise InternalConsistencyError(
-                f"dilation tail not PSD (min eig {wq[0]:.3e})")
-        extra = np.zeros((dilate_dim, 2), dtype=complex)
-        extra[span_k, 0] = 1.0
-        extra[span_k + 1, 1] = 1.0
-        x_rot = l_rot + extra @ _sqrtm_psd(q)
-        x_e = x_rot @ r.T @ s_inv
+        rows = slice(None) if coherent.all() else coherent
+        x_e[rows] = _coherent_vectors(l_e[rows], s_half[rows], s_inv[rows],
+                                      v_opt[rows], r[rows], span_k)
+    _verify_stack(phi_e, l_e, x_e, v_opt)
+    return phi_e, x_e, basis
 
-    return _verified_vectors(frame, phi_e, l_e, x_e, v_opt), basis
+
+def _coherent_vectors(l_e, s_half, s_inv, v_opt, r, span_k):
+    """The dilated estimation vectors of coherent rows: in normalized
+    rotated coordinates X = L'' + Y, with Y in the two coordinates after the
+    physical span ``span_k`` and Y*Y = V'' - L''*L''."""
+    dilate_dim = l_e.shape[1]
+    r_t = r.swapaxes(1, 2)
+    l_rot = l_e @ s_inv @ r
+    v_rot = r_t @ (s_half @ v_opt @ s_half) @ r
+    q = v_rot - l_rot.conj().swapaxes(1, 2) @ l_rot
+    q = 0.5 * (q + q.conj().swapaxes(1, 2))
+    wq = np.linalg.eigvalsh(q)[:, 0]
+    if (wq < -1e-7).any():
+        raise InternalConsistencyError(
+            f"dilation tail not PSD (min eig {wq.min():.3e})")
+    extra = np.zeros((dilate_dim, 2), dtype=complex)
+    extra[span_k, 0] = 1.0
+    extra[span_k + 1, 1] = 1.0
+    x_rot = l_rot + extra @ _sqrtm_psd(q)
+    return x_rot @ r_t @ s_inv
 
 
 def commuting_sld_estimator(frame, geom):
@@ -372,11 +437,24 @@ def naimark_compress(pvm, embedding):
     absorbs the orthogonal complement when one is needed, so the elements
     sum to the base identity.
     """
-    base_dim, k = embedding.shape
-    elements = embedding @ pvm.projectors[:, :k, :k] @ embedding.conj().T
-    elements = 0.5 * (elements + elements.swapaxes(1, 2).conj())
-    rem = np.eye(base_dim, dtype=complex) - elements.sum(axis=0)
-    if np.max(np.abs(rem)) <= 1e-9:
+    elements, has_rem = _naimark_stack(pvm.projectors[None],
+                                       np.asarray(embedding)[None])
+    return elements[0], has_rem
+
+
+def _naimark_stack(projectors, embedding):
+    """:func:`naimark_compress` for a (T, K, D, D) stack of PVMs and a
+    (T, base_dim, k) stack of embeddings; every row must need the remainder
+    element, or none."""
+    base_dim, k = embedding.shape[1:]
+    emb = embedding[:, None]
+    elements = emb @ projectors[:, :, :k, :k] @ emb.conj().swapaxes(2, 3)
+    elements = 0.5 * (elements + elements.swapaxes(2, 3).conj())
+    rem = np.eye(base_dim) - elements.sum(axis=1)
+    has_rem = np.abs(rem).max(axis=(1, 2)) > 1e-9
+    if (has_rem != has_rem[0]).any():
+        raise ValidationError("stacked measurements differ in remainder")
+    if not has_rem[0]:
         return elements, False
-    rem = 0.5 * (rem + rem.conj().T)
-    return np.concatenate([elements, rem[None]]), True
+    rem = 0.5 * (rem + rem.conj().swapaxes(1, 2))
+    return np.concatenate([elements, rem[:, None]], axis=1), True

@@ -121,28 +121,36 @@ def _embed_frame(frame, dilate_dim):
         raise ValidationError(
             "the dilated embedding needs a pure model; mixed models have no "
             "measurement search yet (only the SLD floor is available)")
-    mat = np.column_stack([frame.phi] + list(frame.lifts))
+    basis, phi_e, l_e = _embed_stack(frame.phi[None],
+                                     np.array(frame.lifts)[None], dilate_dim)
+    return basis[0], phi_e[0], l_e[0]
+
+
+def _embed_stack(phis, lifts, dilate_dim):
+    """:func:`_embed_frame` of each row of a stack of pure frames, given as
+    the (T, d) states and (T, m, d) lifts; the results gain a leading axis.
+    Every row must keep the same number of basis vectors."""
+    mat = np.concatenate([phis[:, :, None], lifts.swapaxes(1, 2)], axis=2)
     q, r = np.linalg.qr(mat)
-    keep = np.abs(np.diag(r)) > SINGULAR_RTOL * max(1.0, np.abs(r).max())
-    q = q[:, keep]
-    k = q.shape[1]
-    if dilate_dim < max(k, frame.m + 1):
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    keep = diag > SINGULAR_RTOL * np.maximum(
+        1.0, np.abs(r).max(axis=(1, 2)))[:, None]
+    k = keep.shape[1]
+    if not keep.all():
+        k = int(keep[0].sum())
+        if (keep.sum(axis=1) != k).any():
+            raise ValidationError("stacked frames span subspaces of "
+                                  "different dimensions")
+        cols = np.argsort(~keep, axis=1, kind="stable")[:, None, :k]
+        q = np.take_along_axis(q, cols, axis=2)
+    m = lifts.shape[1]
+    if dilate_dim < max(k, m + 1):
         raise ValidationError(
             f"dilate_dim {dilate_dim} below the embedding requirement "
-            f"{max(k, frame.m + 1)}")
-    out = np.zeros((dilate_dim, mat.shape[1]), dtype=complex)
-    out[:k, :] = q.conj().T @ mat
-    return q, out[:, 0], out[:, 1:]
-
-
-def _align_phase(ref, vec):
-    """Multiply ``vec`` by a unimodular factor so <ref|vec> is real positive."""
-    ov = np.vdot(ref, vec)
-    if abs(ov) < 1e-12:
-        raise ValidationError(
-            "phase alignment impossible: neighbor state orthogonal to center "
-            "(fd_step far too large?)")
-    return vec * (ov.conjugate() / abs(ov))
+            f"{max(k, m + 1)}")
+    out = np.zeros((len(mat), dilate_dim, m + 1), dtype=complex)
+    out[:, :k, :] = q.conj().swapaxes(1, 2) @ mat
+    return q, out[:, :, 0], out[:, :, 1:]
 
 
 def tangents(model, theta, with_state=False):
@@ -153,24 +161,45 @@ def tangents(model, theta, with_state=False):
     pure model's state vector at theta comes first, as ``(phi, list)``; it
     is row 0 of that call when there is one."""
     theta = np.asarray(theta, dtype=float)
+    if model.pure and model.tangent_at is None:
+        phis, dphis = _pure_tangent_stack(model, theta[None])
+        return (phis[0], list(dphis[0])) if with_state else list(dphis[0])
     if model.tangent_at is not None:
         dstates = [np.asarray(t, dtype=complex)
                    for t in model.tangent_at(theta)]
         return ((model.state(theta).vector, dstates) if with_state
                 else dstates)
-
-    h = model.fd_step
-    steps = h * np.eye(model.m)
-    if model.pure:
-        # rows: the centre, then theta + h e_i and theta - h e_i for each i
-        vs = model.states(np.concatenate(
-            [theta[None], theta + steps, theta - steps]))
-        vp = [_align_phase(vs[0], v) for v in vs[1:model.m + 1]]
-        vm = [_align_phase(vs[0], v) for v in vs[model.m + 1:]]
-        dstates = [(p - q) / (2.0 * h) for p, q in zip(vp, vm)]
-        return (vs[0], dstates) if with_state else dstates
+    steps = model.fd_step * np.eye(model.m)
     return [(model.state(theta + dt).rho - model.state(theta - dt).rho)
-            / (2.0 * h) for dt in steps]
+            / (2.0 * model.fd_step) for dt in steps]
+
+
+def _pure_tangent_stack(model, thetas):
+    """State vectors and tangents of a pure model at a (T, m) stack of
+    points, as (T, d) and (T, m, d) arrays.  Without ``tangent_at`` they are
+    central differences whose (2m + 1) T points come from one
+    :meth:`ParametricModel.states` call: per row the centre, then
+    theta + h e_i and theta - h e_i for each i, each neighbour
+    phase-aligned to its centre."""
+    if model.tangent_at is not None:
+        return (np.array([model.state(t).vector for t in thetas]),
+                np.array([[np.asarray(v, dtype=complex)
+                           for v in model.tangent_at(t)] for t in thetas]))
+    t_rows, m = thetas.shape
+    h = model.fd_step
+    steps = h * np.eye(m)
+    pts = np.concatenate([thetas[:, None], thetas[:, None] + steps,
+                          thetas[:, None] - steps], axis=1)
+    vs = model.states(pts.reshape(-1, m)).reshape(t_rows, 2 * m + 1, -1)
+    phis, nbrs = vs[:, 0], vs[:, 1:]
+    ov = np.vecdot(phis[:, None, :], nbrs)
+    size = np.abs(ov)
+    if (size < 1e-12).any():
+        raise ValidationError(
+            "phase alignment impossible: neighbor state orthogonal to center "
+            "(fd_step far too large?)")
+    nbrs = nbrs * (ov.conj() / size)[:, :, None]
+    return phis, (nbrs[:, :m] - nbrs[:, m:]) / (2.0 * h)
 
 
 def horizontal_lift(model, theta):
@@ -180,19 +209,27 @@ def horizontal_lift(model, theta):
         raise ValidationError("horizontal_lift requires a pure model")
     theta = np.asarray(theta, dtype=float)
     phi, dphis = tangents(model, theta, with_state=True)
-    lifts = []
-    for dphi in dphis:
-        l = 2.0 * (dphi - phi * np.vdot(phi, dphi))
-        lifts.append(l)
+    lifts = _lifts(phi[None], np.array(dphis)[None])
+    return TangentFrame(theta=theta, pure=True, phi=phi,
+                        lifts=list(lifts[0]))
+
+
+def _lifts(phis, dphis):
+    """Horizontal lifts of a stack of tangents: (T, d) states and (T, m, d)
+    tangents give (T, m, d) lifts, each row checked for redundant
+    parameters."""
+    ov = np.vecdot(phis[:, None, :], dphis)
+    lifts = 2.0 * (dphis - ov[:, :, None] * phis[:, None, :])
 
     # non-redundancy: the real span of the lifts must have dimension m
-    stacked = np.array([np.concatenate([l.real, l.imag]) for l in lifts])
-    scale = max(np.linalg.norm(stacked), 1e-300)
+    stacked = np.concatenate([lifts.real, lifts.imag], axis=2)
+    scale = np.maximum(np.linalg.norm(stacked, axis=(1, 2)), 1e-300)
     rank = np.linalg.matrix_rank(stacked, tol=1e-8 * scale)
-    if rank < model.m:
+    if (rank < lifts.shape[1]).any():
         raise ValidationError(
-            f"redundant parameters: real span of lifts has rank {rank} < {model.m}")
-    return TangentFrame(theta=theta, pure=True, phi=phi, lifts=lifts)
+            f"redundant parameters: real span of lifts has rank "
+            f"{np.min(rank)} < {lifts.shape[1]}")
+    return lifts
 
 
 def sld_solve(model, theta):

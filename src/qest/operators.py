@@ -106,18 +106,19 @@ def hermitian_eigendecomposition(a):
 
 
 def _sqrtm_psd(a, inverse=False):
-    """Hermitian square root of a PSD matrix, with round-off negative
-    eigenvalues clipped to zero.  ``inverse=True`` (used for J^S) also
-    returns the inverse root from the same eigendecomposition and rejects a
-    singular matrix."""
+    """Hermitian square root of a PSD matrix, or of each matrix of a stack,
+    with round-off negative eigenvalues clipped to zero.  ``inverse=True``
+    (used for J^S) also returns the inverse root from the same
+    eigendecomposition and rejects a singular matrix."""
     w, u = np.linalg.eigh(a)
-    if inverse and w[0] <= 1e-13 * max(w[-1], 1.0):
+    if inverse and (w[..., 0] <= 1e-13 * np.maximum(w[..., -1], 1.0)).any():
         raise ValidationError("singular J^S: redundant parameters")
-    w = np.clip(w, 0.0, None)
-    root = (u * np.sqrt(w)) @ u.conj().T
+    w = np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    u_adj = u.conj().swapaxes(-1, -2)
+    root = (u * w) @ u_adj
     if not inverse:
         return root
-    return root, (u / np.sqrt(w)) @ u.conj().T
+    return root, (u / w) @ u_adj
 
 
 def _check_unitary(v, what):
@@ -168,33 +169,54 @@ def gram_schmidt_real_coefficients(vectors):
     part above tolerance -- in that case real-coefficient orthogonalization
     is impossible and the commuting-measurement construction does not apply.
     """
-    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    n = len(vs)
-    gram = np.conj(vs) @ np.transpose(vs)
-    if np.max(np.abs(gram.imag)) > GRAM_IMAG_RTOL * max(1.0, np.max(np.abs(gram))):
-        raise NotRealGramError(
-            f"Gram matrix imaginary part {np.max(np.abs(gram.imag)):.3e} "
-            "exceeds tolerance")
-    scale = np.sqrt(max(np.max(np.abs(gram.real)), 1e-300))
+    vs = np.array([np.asarray(v, dtype=complex).ravel() for v in vectors])
+    basis, coeffs, rank = _gram_schmidt_stack(vs[None])
+    rank = int(rank[0])
+    return list(basis[0, :rank]), coeffs[0, :, :rank], rank
 
-    basis = []
-    coeffs = np.zeros((n, n))
-    for i, v in enumerate(vs):
-        resid = v.copy()
-        for j, b in enumerate(basis):
-            c = np.vdot(b, v)
-            if abs(c.imag) > REAL_COEFF_RTOL * max(1.0, abs(c)):
-                raise NotRealGramError(
-                    f"non-real Gram-Schmidt coefficient {c:.3e}")
-            coeffs[i, j] = c.real
-            resid = resid - c.real * b
-        nrm = np.linalg.norm(resid)
-        if nrm > RANK_RTOL * scale:
-            b = resid / nrm
-            coeffs[i, len(basis)] = nrm
-            basis.append(b)
-    rank = len(basis)
-    return basis, coeffs[:, :rank], rank
+
+def _gram_schmidt_stack(vs):
+    """:func:`gram_schmidt_real_coefficients` of each row of a (T, n, D)
+    stack of n vectors.  Returns ``(basis, coeffs, rank)`` with shapes
+    (T, n, D), (T, n, n) and (T,): row t's basis vectors fill the first
+    ``rank[t]`` slots, and the slots after them are zero."""
+    n = vs.shape[1]
+    gram = vs.conj() @ vs.swapaxes(1, 2)
+    big = np.maximum(np.abs(gram).max(axis=(1, 2)), 1.0)
+    imag = np.abs(gram.imag).max(axis=(1, 2))
+    if (imag > GRAM_IMAG_RTOL * big).any():
+        raise NotRealGramError(
+            f"Gram matrix imaginary part {imag.max():.3e} exceeds tolerance")
+    floor = RANK_RTOL * np.sqrt(
+        np.maximum(np.abs(gram.real).max(axis=(1, 2)), 1e-300))
+
+    # vector i gives basis slot i, left zero when it adds no new direction
+    basis = np.zeros_like(vs)
+    coeffs = np.zeros(vs.shape[:1] + (n, n), dtype=complex)
+    new = np.empty(basis.shape[:2], dtype=bool)
+    for i in range(n):
+        resid = vs[:, i]
+        if i:
+            c = coeffs[:, i, :i] = np.vecdot(basis[:, :i], resid[:, None])
+            c = c.real
+            for j in range(i):
+                resid = resid - c[:, j, None] * basis[:, j]
+        nrm = np.sqrt((resid.conj() * resid).real.sum(axis=1))
+        keep = new[:, i] = nrm > floor
+        np.divide(resid, nrm[:, None], out=basis[:, i], where=keep[:, None])
+        np.copyto(coeffs[:, i, i], nrm, where=keep)
+    bad = np.abs(coeffs.imag) > REAL_COEFF_RTOL * np.maximum(1.0,
+                                                             np.abs(coeffs))
+    if bad.any():
+        raise NotRealGramError(
+            f"non-real Gram-Schmidt coefficient {coeffs[bad][0]:.3e}")
+    coeffs = coeffs.real
+    if not new.all():
+        # move each row's basis vectors to its first slots, in order
+        order = np.argsort(~new, axis=1, kind="stable")
+        basis = np.take_along_axis(basis, order[:, :, None], axis=1)
+        coeffs = np.take_along_axis(coeffs, order[:, None, :], axis=2)
+    return basis, coeffs, new.sum(axis=1)
 
 
 @dataclass(frozen=True)

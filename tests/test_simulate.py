@@ -15,6 +15,7 @@ from qest.simulate import (
     simulate_gqmle,
     time_energy_report,
 )
+from qmle_reference import reference_gqmle
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -92,17 +93,18 @@ class TestSimulateGqmle:
         assert np.median(dev) <= 0.3
 
     def test_refits_once_per_interval(self, monkeypatch):
-        # N = 50 with reopt 20: refits at 20, 40 and 50 samples
+        # N = 50 with reopt 20: refits at 20, 40 and 50 samples, each one
+        # stacked fit of both trials over their counted records
         sizes, grids = [], []
         factory, maximize = (simulate._log_likelihood_factory,
                              simulate._maximize)
 
-        def counting_factory(model, elements):
-            sizes.append(len(elements))
-            return factory(model, elements)
+        def counting_factory(model, elements, counts):
+            sizes.append(counts.sum(axis=1).tolist())
+            return factory(model, elements, counts)
 
         def counting_maximize(loglik, theta0, radius, grid_points):
-            grids.append(grid_points)
+            grids.append((len(theta0), grid_points))
             return maximize(loglik, theta0, radius, grid_points)
 
         monkeypatch.setattr(simulate, "_log_likelihood_factory",
@@ -113,8 +115,8 @@ class TestSimulateGqmle:
         res = simulate_gqmle(model, np.array([1.0, 0.4]),
                              WeightMatrix.from_matrix(np.eye(2)), cfg)
         assert res.excluded_trials == 0
-        assert sizes == [20, 40, 50] * 2
-        assert grids == [simulate.GRID_POINTS, 1, 1] * 2
+        assert sizes == [[20, 20], [40, 40], [50, 50]]
+        assert grids == [(2, simulate.GRID_POINTS), (2, 1), (2, 1)]
 
     def test_model_without_batched_states(self):
         model = zoo_pm_shift(1, trunc_dim=32)
@@ -156,6 +158,12 @@ def _scalar_log_likelihood_factory(model, elements):
     return loglik
 
 
+def _one_trial(loglik):
+    """A single-trial likelihood of (P, m) points as the stacked
+    ``loglik(points, rows)`` that ``_maximize`` calls."""
+    return lambda points, rows: np.array([loglik(p) for p in points])
+
+
 class TestBatchedLikelihood:
     @staticmethod
     def _record(rng, n, d):
@@ -171,15 +179,26 @@ class TestBatchedLikelihood:
     @pytest.mark.parametrize("s", [0.5, 1.5])
     @pytest.mark.parametrize("points", [1, 50])
     def test_matches_scalar_reference(self, s, points):
+        # two trials' counted records: distinct elements with their counts
+        # against the raw records that repeat each element that often; the
+        # empty slot of the shorter record counts 0
         model = zoo_spin_coherent(s, s)
         rng = np.random.default_rng(int(4 * s) + points)
-        record = self._record(rng, 40, model.dim)
-        thetas = rng.uniform(-3.0, 3.0, (points, 2))
-        batched = _log_likelihood_factory(model, record)(thetas)
-        ref = _scalar_log_likelihood_factory(model, record)
-        assert batched.shape == (points,)
-        assert np.allclose(batched, [ref(t) for t in thetas],
-                           rtol=1e-12, atol=0)
+        distinct = self._record(rng, 40, model.dim)
+        counts = rng.integers(1, 4, (2, 40)).astype(float)
+        counts[1, -1] = 0.0
+        thetas = rng.uniform(-3.0, 3.0, (2, points, 2))
+        loglik = _log_likelihood_factory(
+            model, np.stack([distinct, distinct[::-1]]), counts)
+        batched = loglik(thetas, np.array([0, 1]))
+        assert batched.shape == (2, points)
+        for t, elements in enumerate((distinct, distinct[::-1])):
+            raw = np.repeat(elements, counts[t].astype(int), axis=0)
+            ref = _scalar_log_likelihood_factory(model, raw)
+            assert np.allclose(batched[t], [ref(x) for x in thetas[t]],
+                               rtol=1e-12, atol=0)
+            alone = loglik(thetas[t:t + 1], np.array([t]))
+            assert np.allclose(alone[0], batched[t], rtol=1e-14, atol=0)
 
     def test_grid_ties_go_to_the_first_point_in_scan_order(self):
         radius = 0.3
@@ -194,25 +213,27 @@ class TestBatchedLikelihood:
                     1.0 if min(np.max(np.abs(t - q)) for q in peaks) < 1e-12
                     else 0.0 for t in thetas])
 
-            assert np.array_equal(_maximize(loglik, theta0, radius, 7), first)
+            got = _maximize(_one_trial(loglik), theta0[None], radius, 7)
+            assert np.array_equal(got, first[None])
 
     def test_centre_wins_a_flat_grid(self):
         theta0 = np.array([0.2, 0.4])
-        flat = _maximize(lambda t: np.zeros(len(t)), theta0, 0.3, 7)
-        assert np.array_equal(flat, theta0)
+        flat = _maximize(_one_trial(lambda t: np.zeros(len(t))),
+                         theta0[None], 0.3, 7)
+        assert np.array_equal(flat, theta0[None])
 
 
 class TestNewtonFit:
     """The fit converges before it stops, and each iteration takes one
-    batched likelihood call."""
+    batched likelihood call for every trial still iterating."""
 
     @staticmethod
     def _counted(loglik):
         calls = []
 
-        def counted(thetas):
-            calls.append(len(thetas))
-            return loglik(thetas)
+        def counted(points, rows):
+            calls.append(points.shape[1])
+            return np.array([loglik(p) for p in points])
 
         return counted, calls
 
@@ -225,38 +246,43 @@ class TestNewtonFit:
             return -0.5 * np.einsum("pi,ij,pj->p", d, a, d)
 
         loglik, calls = self._counted(quadratic)
-        got = _maximize(loglik, np.array([0.1, 0.2]), 0.7, 1)
-        assert np.max(np.abs(got - peak)) <= 1e-7
+        got = _maximize(loglik, np.array([[0.1, 0.2]]), 0.7, 1)
+        assert np.max(np.abs(got[0] - peak)) <= 1e-7
         assert len(calls) <= 3
         assert set(calls) == {len(simulate._stencil(2))}
 
     def test_flat_and_tied_likelihoods_end_at_once(self):
         theta0 = np.array([0.2, 0.4])
         flat, calls = self._counted(lambda t: np.zeros(len(t)))
-        assert np.array_equal(_maximize(flat, theta0, 0.3, 7), theta0)
+        assert np.array_equal(_maximize(flat, theta0[None], 0.3, 7),
+                              theta0[None])
         assert calls == [50, 9]     # the grid, then one stencil
 
         def spike(thetas):
             return (np.max(np.abs(thetas - theta0), axis=1) < 1e-12) * 1.0
 
         tied, calls = self._counted(spike)
-        assert np.array_equal(_maximize(tied, theta0, 0.3, 1), theta0)
+        assert np.array_equal(_maximize(tied, theta0[None], 0.3, 1),
+                              theta0[None])
         assert calls == [9]
 
     @pytest.mark.parametrize("n, reopt", [(60, 1), (200, 20)])
     def test_every_refit_converges(self, monkeypatch, n, reopt):
         # the Newton decrement g^T (-H)^{-1} g, recomputed at each returned
-        # point from a fresh stencil, is at most the stop constant
+        # point of each trial from a fresh stencil, is at most the stop
+        # constant
         decrements = []
         maximize = simulate._maximize
 
         def checked(loglik, theta0, radius, grid_points):
-            hat = maximize(loglik, theta0, radius, grid_points)
-            _, grad, hess = simulate._derivatives(
-                loglik(hat + simulate._stencil(2)), 2)
-            assert np.linalg.eigvalsh(hess)[-1] < 0
-            decrements.append(-grad @ np.linalg.solve(hess, grad))
-            return hat
+            hats = maximize(loglik, theta0, radius, grid_points)
+            rows = np.arange(len(hats))
+            values = loglik(hats[:, None] + simulate._stencil(2), rows)
+            for f in values:
+                _, grad, hess = simulate._derivatives(f, 2)
+                assert np.linalg.eigvalsh(hess)[-1] < 0
+                decrements.append(-grad @ np.linalg.solve(hess, grad))
+            return hats
 
         monkeypatch.setattr(simulate, "_maximize", checked)
         model = zoo_spin_coherent(0.5, 0.5)
@@ -265,6 +291,112 @@ class TestNewtonFit:
                        WeightMatrix.from_matrix(np.eye(2)), cfg)
         assert len(decrements) == 2 * n // reopt
         assert max(decrements) <= simulate.DECREMENT_TOL
+
+
+class TestLockstep:
+    """The lockstep loop gives the estimates of the reference loop, which
+    runs one trial after another over its raw record, to the 1e-6 of the
+    regression pins, with the survivors in the same order."""
+
+    SPIN_THETA = np.array([np.pi / 3, np.pi / 4])
+
+    @staticmethod
+    def _compare(model, theta, weight, cfg):
+        res = simulate_gqmle(model, theta, weight, cfg)
+        hats, exclusions, risk = reference_gqmle(model, theta, weight, cfg)
+        assert res.theta_hats.shape == hats.shape
+        assert np.max(np.abs(res.theta_hats - hats)) <= 1e-6
+        assert abs(res.scaled_risk - risk) <= 1e-6 * max(1.0, risk)
+        assert res.excluded_trials == len(exclusions)
+        assert list(res.exclusions) == exclusions
+        return res
+
+    @pytest.mark.parametrize("n, reopt", [(60, 1), (200, 20)])
+    def test_spin_half_matches_reference(self, n, reopt):
+        model = zoo_spin_coherent(0.5, 0.5)
+        weight = WeightMatrix.from_matrix(
+            info_geometry(frame_at(model, self.SPIN_THETA)).JS)
+        cfg = QmleConfig(n_samples=n, trials=5, seed=31, reopt_every=reopt)
+        self._compare(model, self.SPIN_THETA, weight, cfg)
+
+    def test_fixed_measurement_matches_reference(self):
+        model = zoo_spin_coherent(0.5, 0.5)
+        cfg = QmleConfig(n_samples=120, trials=5, seed=9, reopt_every=20,
+                         fixed_measurement=True)
+        self._compare(model, np.array([1.0, 0.4]),
+                      WeightMatrix.from_matrix(np.eye(2)), cfg)
+
+    def test_model_without_batched_states_matches_reference(self):
+        model = zoo_pm_shift(1, trunc_dim=32)
+        cfg = QmleConfig(n_samples=40, trials=3, seed=5, reopt_every=10)
+        self._compare(model, np.array([0.3, -0.2]),
+                      WeightMatrix.from_matrix(np.eye(2)), cfg)
+
+    @staticmethod
+    def _refusing(model, lo, hi):
+        """``model`` refusing every state with theta^1 in (lo, hi), as a
+        truncated model refuses a leaking state."""
+        def check(thetas):
+            t1 = np.asarray(thetas)[..., 0]
+            if np.any((t1 > lo) & (t1 < hi)):
+                raise ValidationError(f"theta^1 in the refused band "
+                                      f"({lo}, {hi})")
+
+        def states_at(thetas):
+            check(thetas)
+            return model.states_at(thetas)
+
+        def state_at(theta):
+            check(theta)
+            return model.state_at(theta)
+
+        return dataclasses.replace(model, states_at=states_at,
+                                   state_at=state_at)
+
+    def test_partial_exclusion(self):
+        # the band lies between the points of the first refit's seed grid,
+        # so only the trials whose later fits reach it are excluded, some in
+        # their likelihood and some in the measurement built at their
+        # estimate, whose finite differences reach 0.02 further; each
+        # survivor keeps the reference loop's estimate and each excluded
+        # trial the reference loop's exception
+        model = self._refusing(zoo_spin_coherent(0.5, 0.5, fd_step=0.02),
+                               1.15, 1.2)
+        weight = WeightMatrix.from_matrix(
+            info_geometry(frame_at(model, self.SPIN_THETA)).JS)
+        cfg = QmleConfig(n_samples=200, trials=10, seed=3, reopt_every=20)
+        res = self._compare(model, self.SPIN_THETA, weight, cfg)
+        assert [t for t, _ in res.exclusions] == [1, 2, 3, 6, 9]
+
+    def test_partial_exclusion_at_the_leakage_edge(self, monkeypatch):
+        # near the n = 0 oscillator's leakage edge in 32 Fock levels one
+        # trial's refits leak out of the truncation and the others' do
+        # not.  The fits there are so ill-conditioned that summing the same
+        # record in another order moves estimates by up to 0.7, so the
+        # stack is compared with each trial run alone
+        model = zoo_pm_shift(0, trunc_dim=32)
+        theta = np.array([2.9, 0.0])
+        weight = WeightMatrix.from_matrix(np.eye(2))
+        cfg = QmleConfig(n_samples=60, trials=10, seed=2024, reopt_every=6)
+        res = simulate_gqmle(model, theta, weight, cfg)
+        assert res.excluded_trials == 1
+        assert "trunc_dim" in res.exclusions[0][1]
+        monkeypatch.setattr(simulate, "RECORD_BUDGET", 1)
+        alone = simulate_gqmle(model, theta, weight, cfg)
+        assert alone.exclusions == res.exclusions
+        assert np.max(np.abs(alone.theta_hats - res.theta_hats)) <= 1e-6
+
+    def test_chunks_of_one_trial_match_one_chunk(self, monkeypatch):
+        model = zoo_spin_coherent(0.5, 0.5)
+        theta = np.array([1.0, 0.4])
+        weight = WeightMatrix.from_matrix(np.eye(2))
+        cfg = QmleConfig(n_samples=100, trials=4, seed=17, reopt_every=10)
+        whole = simulate_gqmle(model, theta, weight, cfg)
+        # a budget below one trial's record forces one trial per chunk
+        monkeypatch.setattr(simulate, "RECORD_BUDGET", 1)
+        chunked = simulate_gqmle(model, theta, weight, cfg)
+        assert np.max(np.abs(chunked.theta_hats - whole.theta_hats)) <= 1e-6
+        assert chunked.excluded_trials == whole.excluded_trials == 0
 
 
 class TestQmleRegression:
