@@ -68,25 +68,31 @@ class BoundResult:
     ``attained`` is "attained" when some locally unbiased measurement
     realizes V_opt, "infimum_only" when the value is approached but not
     realized (rank-deficient weights on maximally incompatible pairs).
+    ``C`` is the m x m coefficient matrix of the optimal estimation vectors
+    X = L C (L the horizontal lifts), with Re C*Q = I for the lift Gram
+    matrix Q = J^S + i J~; None where no measurement is built.
     """
 
     cr_value: float
     method: str
     attained: str = "attained"
     V_opt: np.ndarray = None
-    Lambda: np.ndarray = None
+    C: np.ndarray = None
     note: str = ""
 
 
 def sld_bound(geom, weight):
     """SLD floor Tr G J^{S-1} of the matrix bound V >= J^{S-1}; attainable
-    iff the model is quasi-classical at the point."""
+    iff the model is quasi-classical at the point, where C = J^{S-1}."""
     js_inv = np.linalg.inv(geom.JS)
+    v_opt = 0.5 * (js_inv + js_inv.T)
+    attained = geom.quasi_classical
     return BoundResult(
         cr_value=float(np.trace(weight.G @ js_inv)),
         method="sld",
-        attained="attained" if geom.quasi_classical else "infimum_only",
-        V_opt=0.5 * (js_inv + js_inv.T),
+        attained="attained" if attained else "infimum_only",
+        V_opt=v_opt,
+        C=v_opt if attained else None,
     )
 
 
@@ -179,8 +185,10 @@ def cr_two_param(geom, weight):
     Coordinates are normalized so J^S = I (congruence by J^{S-1/2}), the
     weight is rotated diagonal, and the scalar risk is minimized on the
     constraint curve between the two normalized variances.  The Lagrange
-    multiplier lambda is recovered in closed form and the full stationarity
-    system is checked as a residual.
+    multiplier Lambda is recovered in closed form and the full stationarity
+    system is checked as a residual.  The estimation vectors have
+    C = V G (G - i Lambda)^{-1}, or C = J^{S-1} on a coherent point, where
+    that matrix is (nearly) singular; a rank-one weight gets no C.
     """
     if geom.m != 2:
         raise ValidationError("cr_two_param requires a 2-parameter model")
@@ -211,19 +219,18 @@ def cr_two_param(geom, weight):
         return BoundResult(cr_value=float(value), method="two_param",
                            V_opt=v_opt)
 
-    value, v_opt, lam, _ = _two_param_stack(
-        g_n[None], geom.S_half[None], s_inv[None], geom.N[None, 1, 0],
-        [geom.coherent])
+    value, v_opt, c = _two_param_stack(
+        weight.G, g_n[None], geom.S_half[None], s_inv[None],
+        geom.N[None, 1, 0], np.array([geom.coherent]))
     return BoundResult(cr_value=float(value[0]), method="two_param",
-                       V_opt=v_opt[0], Lambda=lam[0])
+                       V_opt=v_opt[0], C=c[0])
 
 
-def _two_param_stack(g_n, s_half, s_inv_half, beta_signed, coherent):
+def _two_param_stack(g, g_n, s_half, s_inv_half, beta_signed, coherent):
     """The full-rank case of :func:`cr_two_param` for a stack of points:
-    (T, 2, 2) normalized weights ``g_n`` and roots of J^S, (T,) signed betas
-    and coherent flags.  Returns the values (T,), V_opt and Lambda as
-    (T, 2, 2) stacks, and the rotations R that diagonalize ``g_n``.  The
-    curve is minimized row by row."""
+    the weight G, (T, 2, 2) normalized weights ``g_n`` and roots of J^S,
+    (T,) signed betas and coherent flags.  Returns the values (T,), and
+    V_opt and C as (T, 2, 2) stacks.  The curve is minimized row by row."""
     r, gw = _so2_diagonalizer(g_n)
     rows = zip(gw[:, 0].tolist(), gw[:, 1].tolist(), beta_signed.tolist(),
                coherent)
@@ -233,9 +240,15 @@ def _two_param_stack(g_n, s_half, s_inv_half, beta_signed, coherent):
     out = np.array([_curve_optimum(*row) for row in rows])
     r_t = r.swapaxes(1, 2)
     v_opt = s_inv_half @ ((r * out[:, None, :2]) @ r_t) @ s_inv_half
-    lam_rot = r[..., ::-1] * (out[:, 3, None, None] * np.array([1.0, -1.0]))
-    lam_full = s_half @ (lam_rot @ r_t) @ s_half
-    return out[:, 2], 0.5 * (v_opt + v_opt.swapaxes(1, 2)), lam_full, r
+    v_opt = 0.5 * (v_opt + v_opt.swapaxes(1, 2))
+    c = (s_inv_half @ s_inv_half).astype(complex)
+    plain = ~coherent
+    if plain.any():
+        lam_rot = r[..., ::-1] * (out[:, 3, None, None]
+                                  * np.array([1.0, -1.0]))
+        lam = (s_half @ (lam_rot @ r_t) @ s_half)[plain]
+        c[plain] = v_opt[plain] @ g @ np.linalg.inv(g - 1j * lam)
+    return out[:, 2], v_opt, c
 
 
 def _curve_optimum(g1, g2, beta_signed, coherent):
@@ -351,7 +364,7 @@ def cr_coherent(geom, weight):
     abs_core = _sqrtm_psd(core @ core.conj().T)
     v_opt = js_inv + g_inv_half @ abs_core @ g_inv_half
     return BoundResult(cr_value=value, method="coherent",
-                       V_opt=0.5 * (v_opt + v_opt.T))
+                       V_opt=0.5 * (v_opt + v_opt.T), C=js_inv)
 
 
 def cr_general_js(geom):

@@ -29,8 +29,7 @@ from .measurements import (
     commuting_sld_estimator,
     construct_pvm_from_vectors,
     naimark_compress,
-    optimal_vectors_sld,
-    optimal_vectors_two_param,
+    optimal_vectors,
 )
 from .oracle import SearchConfig, oracle_min_weighted_variance, verify_bound
 from .simulate import QmleConfig, simulate_gqmle, time_energy_report
@@ -230,19 +229,16 @@ def _cmd_measurement(args):
         pvm = commuting_sld_estimator(frame, geom)
         elements = pvm.projectors
         name, cov = "commuting_slds", bound.V_opt
-    elif method in ("sld", "two_param"):
-        if method == "sld":
-            vectors, basis = optimal_vectors_sld(frame, bound)
-        else:
-            vectors, basis = optimal_vectors_two_param(frame, geom, weight,
-                                                      bound)
+    elif method is not None and model.pure:
+        vectors, basis = optimal_vectors(frame, bound)
         pvm = construct_pvm_from_vectors(vectors)
         elements, _ = naimark_compress(pvm, basis)
         name, cov = method, pvm.meta["covariance"].real
     else:
         raise ValidationError(
             "optimal measurement construction covers quasi-classical models "
-            "and 2-parameter pure models")
+            "and 2-parameter or coherent pure models; other pure models wait "
+            "for a Holevo-bound optimizer")
     report = {
         "method": name,
         "risk": float(np.trace(weight.G @ cov)),

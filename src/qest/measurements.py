@@ -1,7 +1,7 @@
 """Measurement-side machinery: outcome statistics and classical Fisher
 information, optimal locally unbiased post-processing, the projective
-measurements realizing the SLD bound of quasi-classical pure models and the
-two-parameter exact bound (built from estimation vectors in a dilated space),
+measurements realizing an attained pure-state bound (built from the
+estimation vectors X = L C of its coefficient matrix C in a dilated space),
 the commuting-SLD estimator for faithful models, and Naimark compression.
 """
 
@@ -19,8 +19,7 @@ from .operators import (
     _gram_schmidt_stack,
     _sqrtm_psd,
 )
-from .models import _embed_frame, _embed_stack
-from .bounds import _normalized_weight, _so2_diagonalizer
+from .models import _embed_stack
 
 __all__ = [
     "PvmEstimator",
@@ -29,7 +28,7 @@ __all__ = [
     "classical_fisher",
     "optimal_postprocessing",
     "construct_pvm_from_vectors",
-    "optimal_vectors_sld",
+    "optimal_vectors",
     "optimal_vectors_two_param",
     "commuting_sld_estimator",
     "naimark_compress",
@@ -253,16 +252,66 @@ def _pvm_stack(phi, x, theta):
     return projectors, est, cov
 
 
-def _verified_vectors(frame, phi_e, l_e, x_e, v_opt):
-    """Estimation vectors after checking Re X*L = I, Im X*X = 0,
-    Re X*X = V and <phi|x^i> = 0 in the dilated space."""
-    _verify_stack(phi_e[None], l_e[None], x_e[None], v_opt[None])
-    return EstimationVectors(phi=phi_e, X=x_e,
-                             theta=np.asarray(frame.theta, dtype=float))
+def optimal_vectors(frame, bound):
+    """Estimation vectors attaining ``bound`` at a pure frame.
+
+    ``bound`` is an attained :class:`~qest.bounds.BoundResult` carrying its
+    coefficient matrix C and V_opt.  X = L C fills the leading coordinates;
+    where Z = C*QC is not real (Q the lift Gram matrix), W = (V - Z)^{1/2}
+    fills the last m coordinates, so that Re X*L = I, Im X*X = 0 and
+    Re X*X = V, all verified.  The space has m + 1 dimensions for the SLD
+    bound and 2m + 1 otherwise.  Returns ``(vectors, basis)``, ``basis``
+    the embedding of the physical span for :func:`naimark_compress`.
+    """
+    if not frame.pure:
+        raise ValidationError("optimal vectors need a pure model")
+    if bound.attained != "attained":
+        raise ValidationError(f"the {bound.method} bound is only an infimum "
+                              f"here: no measurement attains it")
+    if bound.C is None:
+        raise ValidationError(f"the {bound.method} bound carries no "
+                              f"optimizer C")
+    m = frame.m
+    phi_e, x_e, basis = _vector_stack(
+        frame.phi[None], np.array(frame.lifts)[None], bound.C[None],
+        bound.V_opt[None], m + 1 if bound.method == "sld" else 2 * m + 1)
+    return (EstimationVectors(phi=phi_e[0], X=x_e[0],
+                              theta=np.asarray(frame.theta, dtype=float)),
+            basis[0])
+
+
+# perfbench/tracer.py wraps this name; without it every traced run crashes.
+optimal_vectors_two_param = optimal_vectors
+
+
+def _vector_stack(phis, lifts, c, v_opt, dilate_dim):
+    """:func:`optimal_vectors` for a stack of T frames, given as (T, d)
+    states and (T, m, d) lifts, with (T, m, m) stacks of C and V_opt.
+    Returns the dilated states (T, D), vectors (T, D, m) and embeddings
+    (T, d, k), every row verified.  Rows whose Z is real get W = 0."""
+    basis, phi_e, l_e = _embed_stack(phis, lifts, dilate_dim)
+    m = c.shape[2]
+    x_e = l_e @ c
+    z = x_e.conj().swapaxes(1, 2) @ x_e
+    scale = np.maximum(1.0, np.abs(z).max(axis=(1, 2)))
+    tail = np.abs(z.imag).max(axis=(1, 2)) > XCHECK_TOL * scale
+    if tail.any():
+        if dilate_dim < 2 * m + 1:
+            raise InternalConsistencyError("dilated space too small")
+        q = v_opt[tail] - z[tail]
+        q = 0.5 * (q + q.conj().swapaxes(1, 2))
+        wq = np.linalg.eigvalsh(q)[:, 0]
+        if (wq < -1e-7 * scale[tail]).any():
+            raise InternalConsistencyError(
+                f"dilation tail not PSD (min eig {wq.min():.3e})")
+        x_e[tail, -m:] = _sqrtm_psd(q)
+    _verify_stack(phi_e, l_e, x_e, v_opt)
+    return phi_e, x_e, basis
 
 
 def _verify_stack(phi_e, l_e, x_e, v_opt):
-    """The checks of :func:`_verified_vectors`, on each row of a stack."""
+    """Re X*L = I, Im X*X = 0, Re X*X = V and <phi|x^i> = 0 in the dilated
+    space, on each row of a stack."""
     m = x_e.shape[2]
     x_adj = x_e.conj().swapaxes(1, 2)
     dev = np.abs((x_adj @ l_e).real - np.eye(m)).max()
@@ -276,105 +325,6 @@ def _verify_stack(phi_e, l_e, x_e, v_opt):
         raise InternalConsistencyError("Re X*X != V")
     if np.abs(x_adj @ phi_e[:, :, None]).max() > XCHECK_TOL:
         raise InternalConsistencyError("<phi|x^i> != 0")
-
-
-def optimal_vectors_sld(frame, bound):
-    """Estimation vectors X = L J^{S-1} attaining the SLD bound of a
-    quasi-classical pure model, for any weight and any m.
-
-    ``bound`` is the :func:`~qest.bounds.sld_bound` result (V = J^{S-1});
-    the vectors stay in the span of phi and the lifts, so no dilation
-    beyond m + 1 dimensions is needed.  Returns ``(vectors, basis)`` like
-    :func:`optimal_vectors_two_param`.
-    """
-    if bound.method != "sld" or bound.attained != "attained":
-        raise ValidationError("requires an attained SLD bound "
-                              "(quasi-classical model)")
-    basis, phi_e, l_e = _embed_frame(frame, frame.m + 1)
-    x_e = l_e @ bound.V_opt
-    return _verified_vectors(frame, phi_e, l_e, x_e, bound.V_opt), basis
-
-
-def optimal_vectors_two_param(frame, geom, weight, bound):
-    """Estimation vectors attaining the two-parameter exact bound, in a
-    dilated space of dimension 2m+1 = 5.
-
-    ``geom`` is the frame's :class:`~qest.geometry.InfoGeometry`, and
-    ``bound`` the ``cr_two_param`` result for it.  Away from maximal
-    incompatibility the vectors stay in the span of the lifts:
-    X = L V G (G - i Lambda)^{-1} with (V, Lambda) from the bound.  When the
-    geometry is coherent (beta within 1e-6 of 1) that matrix is (nearly)
-    singular and the optimizer genuinely needs the dilation: in normalized
-    rotated coordinates X = L'' + Y with Y orthogonal to the physical span
-    and Y*Y = V'' - L''*L''.  Both branches verify Re X*L = I, Im X*X = 0
-    and Re X*X = V before returning.
-    """
-    if not frame.pure or frame.m != 2:
-        raise ValidationError("requires a 2-parameter pure model")
-    if bound.V_opt is None:
-        raise ValidationError("bound carries no optimizer (infimum only?)")
-    if not geom.coherent and bound.Lambda is None:
-        raise ValidationError("bound carries no Lagrange multiplier")
-    g = np.asarray(weight.G, dtype=float)
-    lam = np.full((2, 2), np.nan) if bound.Lambda is None else bound.Lambda
-    s_inv = geom.S_inv_half[None]
-    r = (_so2_diagonalizer(_normalized_weight(s_inv, g))[0] if geom.coherent
-         else None)
-    phi_e, x_e, basis = _two_param_vectors(
-        frame.phi[None], np.array(frame.lifts)[None], geom.S_half[None],
-        s_inv, np.array([geom.coherent]), g, bound.V_opt[None], lam[None], r)
-    return (EstimationVectors(phi=phi_e[0], X=x_e[0],
-                              theta=np.asarray(frame.theta, dtype=float)),
-            basis[0])
-
-
-def _two_param_vectors(phis, lifts, s_half, s_inv, coherent, g, v_opt, lam,
-                       r):
-    """:func:`optimal_vectors_two_param` for a stack of T frames, given as
-    (T, d) states and (T, 2, d) lifts, the (T, 2, 2) roots of J^S, the (T,)
-    coherent flags, the weight G, (T, 2, 2) stacks of V_opt and Lambda (read
-    only on rows that are not coherent), and of the proper rotations R that
-    diagonalize J^{S-1/2} G J^{S-1/2} (read only on coherent rows).  Returns
-    the dilated states (T, 5), vectors (T, 5, 2) and embeddings (T, d, k),
-    every row verified."""
-    dilate_dim = 2 * lifts.shape[1] + 1
-    basis, phi_e, l_e = _embed_stack(phis, lifts, dilate_dim)
-    span_k = basis.shape[2]
-    x_e = np.empty_like(l_e)
-    plain = ~coherent
-    if plain.any():
-        rows = slice(None) if plain.all() else plain
-        x_e[rows] = (l_e[rows] @ v_opt[rows] @ g
-                     @ np.linalg.inv(g - 1j * lam[rows]))
-    if coherent.any():
-        if span_k + 2 > dilate_dim:
-            raise InternalConsistencyError("dilated space too small")
-        rows = slice(None) if coherent.all() else coherent
-        x_e[rows] = _coherent_vectors(l_e[rows], s_half[rows], s_inv[rows],
-                                      v_opt[rows], r[rows], span_k)
-    _verify_stack(phi_e, l_e, x_e, v_opt)
-    return phi_e, x_e, basis
-
-
-def _coherent_vectors(l_e, s_half, s_inv, v_opt, r, span_k):
-    """The dilated estimation vectors of coherent rows: in normalized
-    rotated coordinates X = L'' + Y, with Y in the two coordinates after the
-    physical span ``span_k`` and Y*Y = V'' - L''*L''."""
-    dilate_dim = l_e.shape[1]
-    r_t = r.swapaxes(1, 2)
-    l_rot = l_e @ s_inv @ r
-    v_rot = r_t @ (s_half @ v_opt @ s_half) @ r
-    q = v_rot - l_rot.conj().swapaxes(1, 2) @ l_rot
-    q = 0.5 * (q + q.conj().swapaxes(1, 2))
-    wq = np.linalg.eigvalsh(q)[:, 0]
-    if (wq < -1e-7).any():
-        raise InternalConsistencyError(
-            f"dilation tail not PSD (min eig {wq.min():.3e})")
-    extra = np.zeros((dilate_dim, 2), dtype=complex)
-    extra[span_k, 0] = 1.0
-    extra[span_k + 1, 1] = 1.0
-    x_rot = l_rot + extra @ _sqrtm_psd(q)
-    return x_rot @ r_t @ s_inv
 
 
 def commuting_sld_estimator(frame, geom):

@@ -9,19 +9,8 @@ import numpy as np
 from .operators import ValidationError, hermitian_eigendecomposition
 from .models import _lifts, _pure_tangent_stack, frame_at
 from .geometry import _derive_stack, _lift_gram, info_geometry
-from .bounds import (
-    _normalized_weight,
-    _two_param_stack,
-    cr_two_param,
-)
-from .measurements import (
-    _naimark_stack,
-    _pvm_stack,
-    _two_param_vectors,
-    construct_pvm_from_vectors,
-    naimark_compress,
-    optimal_vectors_two_param,
-)
+from .bounds import _normalized_weight, _two_param_stack, cr_two_param
+from .measurements import _naimark_stack, _pvm_stack, _vector_stack
 
 __all__ = ["QmleConfig", "QmleResult", "simulate_gqmle",
            "TestPowerReport", "time_energy_report"]
@@ -61,33 +50,24 @@ class QmleResult:
     exclusions: tuple = ()        # (trial index, exception text) per exclusion
 
 
-def _measurement_elements(frame, geom, weight):
-    """Base-space POVM elements of the optimal two-parameter measurement
-    constructed at the frame's point (dilated PVM compressed back)."""
-    bound = cr_two_param(geom, weight)
-    vectors, basis = optimal_vectors_two_param(frame, geom, weight, bound)
-    pvm = construct_pvm_from_vectors(vectors)
-    elements, _ = naimark_compress(pvm, basis)
-    return elements
-
-
 def _measurement_stack(model, thetas, weight):
-    """:func:`_measurement_elements` at a (T, 2) stack of points in one
-    stacked pass: frames from one ``states`` call, then geometry, bound,
-    estimation vectors, PVM and compression along the row axis, every
+    """Base-space POVM elements of the optimal two-parameter measurement at
+    each point of a (T, 2) stack, in one stacked pass: frames from one
+    ``states`` call, then geometry, bound, estimation vectors, PVM and
+    compression (the dilated PVM compressed back) along the row axis, every
     verification applied per row.  Returns the (T, K, d, d) elements.  It
-    raises when any row fails or the rows differ in structure; the
-    single-point chain then tells the rows apart."""
+    raises when any row fails or the rows differ in structure; a build
+    with T = 1 then tells the rows apart."""
     phis, dphis = _pure_tangent_stack(model, thetas)
     lifts = _lifts(phis, dphis)
     n_skew, s_half, s_inv_half, rows = _derive_stack(*_lift_gram(lifts))
     coherent = np.array([row[3] for row in rows])
     g = np.asarray(weight.G, dtype=float)
     g_n = _normalized_weight(s_inv_half, g)
-    _, v_opt, lam, r = _two_param_stack(g_n, s_half, s_inv_half,
-                                        n_skew[:, 1, 0], coherent)
-    phi_e, x_e, basis = _two_param_vectors(phis, lifts, s_half, s_inv_half,
-                                           coherent, g, v_opt, lam, r)
+    _, v_opt, c = _two_param_stack(g, g_n, s_half, s_inv_half,
+                                   n_skew[:, 1, 0], coherent)
+    phi_e, x_e, basis = _vector_stack(phis, lifts, c, v_opt,
+                                      2 * model.m + 1)
     projectors, _, _ = _pvm_stack(phi_e, x_e, thetas)
     return _naimark_stack(projectors, basis)[0]
 
@@ -258,11 +238,9 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
         return p / p.sum(axis=-1, keepdims=True)
 
     theta_init = theta_true + np.array(INIT_OFFSET)
-    if cfg.fixed_measurement:
-        first = _measurement_elements(frame_true, geom_true, weight)
-    else:
-        frame = frame_at(model, theta_init)
-        first = _measurement_elements(frame, info_geometry(frame), weight)
+    first = _measurement_stack(
+        model, (theta_true if cfg.fixed_measurement else theta_init)[None],
+        weight)[0]
     lockstep = _Lockstep(model, weight, cfg, lam_min, probabilities,
                          (first, probabilities(first)), theta_init)
 
@@ -335,9 +313,8 @@ class _Lockstep:
             laws = []
             for theta, t in zip(thetas, trials):
                 try:
-                    frame = frame_at(self.model, theta)
-                    elements = _measurement_elements(
-                        frame, info_geometry(frame), self.weight)
+                    elements = _measurement_stack(self.model, theta[None],
+                                                  self.weight)[0]
                     laws.append((elements, self.probabilities(elements)))
                 except TRIAL_ERRORS as exc:
                     self._exclude(t, exc)

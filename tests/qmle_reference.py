@@ -6,7 +6,13 @@ for comparison with the lockstep loop."""
 
 import numpy as np
 
+from qest.bounds import cr_two_param
 from qest.geometry import info_geometry
+from qest.measurements import (
+    construct_pvm_from_vectors,
+    naimark_compress,
+    optimal_vectors,
+)
 from qest.models import frame_at
 from qest.operators import ValidationError
 from qest.simulate import (
@@ -16,11 +22,22 @@ from qest.simulate import (
     NEWTON_MAX_ITERS,
     STEP_HALVINGS,
     _derivatives,
-    _measurement_elements,
     _stencil,
 )
 
-__all__ = ["reference_gqmle", "log_likelihood_factory", "maximize"]
+__all__ = ["reference_gqmle", "measurement_elements",
+           "log_likelihood_factory", "maximize"]
+
+
+def measurement_elements(frame, geom, weight):
+    """Base-space POVM elements of the optimal two-parameter measurement
+    constructed at the frame's point through the public single-point chain
+    (dilated PVM compressed back)."""
+    bound = cr_two_param(geom, weight)
+    vectors, basis = optimal_vectors(frame, bound)
+    pvm = construct_pvm_from_vectors(vectors)
+    elements, _ = naimark_compress(pvm, basis)
+    return elements
 
 
 def log_likelihood_factory(model, elements):
@@ -97,10 +114,10 @@ def reference_gqmle(model, theta_true, weight, cfg):
 
     def law_at(theta):
         frame = frame_at(model, theta)
-        return law(_measurement_elements(frame, info_geometry(frame), weight))
+        return law(measurement_elements(frame, info_geometry(frame), weight))
 
     theta_init = theta_true + np.array(INIT_OFFSET)
-    first_law = (law(_measurement_elements(frame_true, geom_true, weight))
+    first_law = (law(measurement_elements(frame_true, geom_true, weight))
                  if cfg.fixed_measurement else law_at(theta_init))
 
     canonicalize = model.meta.get("canonicalize")

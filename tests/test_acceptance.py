@@ -24,7 +24,7 @@ from qest.measurements import (
     classical_fisher,
     construct_pvm_from_vectors,
     naimark_compress,
-    optimal_vectors_two_param,
+    optimal_vectors,
     outcome_distribution,
 )
 from qest.models import (
@@ -119,7 +119,7 @@ def test_criterion_04_oracle_soundness_and_tightness():
 
     weight = WeightMatrix.from_matrix(geom.JS)
     bound = cr_two_param(geom, weight)
-    vectors, embedding = optimal_vectors_two_param(frame, geom, weight, bound)
+    vectors, embedding = optimal_vectors(frame, bound)
     pvm = construct_pvm_from_vectors(vectors)
     warm = pvm_as_warm_start(pvm, embedding, frame,
                              cfg.resolved_dim(frame.m))
@@ -278,7 +278,7 @@ def test_criterion_10_property_battery_under_budget():
     geom = info_geometry(frame)
     weight = WeightMatrix.from_matrix(geom.JS)
     bound = cr_two_param(geom, weight)
-    vectors, embedding = optimal_vectors_two_param(frame, geom, weight, bound)
+    vectors, embedding = optimal_vectors(frame, bound)
     pvm = construct_pvm_from_vectors(vectors)
     total = sum(pvm.projectors)
     assert np.max(np.abs(total - np.eye(pvm.ambient_dim))) <= 1e-10

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from qest.geometry import info_geometry
 from qest.measurements import (
     construct_pvm_from_vectors,
     naimark_compress,
-    optimal_vectors_two_param,
+    optimal_vectors,
 )
 from qest.models import frame_at, load_model_spec
 
@@ -346,7 +348,7 @@ class TestJsonOutput:
         weight = WeightMatrix.from_matrix(np.eye(2))
         bound = attainable_bound(geom, weight, model.pure)
         assert bound.method == "two_param"
-        vectors, basis = optimal_vectors_two_param(frame, geom, weight, bound)
+        vectors, basis = optimal_vectors(frame, bound)
         pvm = construct_pvm_from_vectors(vectors)
         elements, _ = naimark_compress(pvm, basis)
         want = np.array(elements, dtype=complex)
@@ -612,6 +614,30 @@ class TestQuasiClassicalPureMeasurement:
         assert np.max(np.abs(elements_sum(report) - np.eye(3))) <= 1e-10
 
 
+SQUEEZED_SPEC = {"kind": "squeezed", "trunc_dim": 64,
+                 "theta": [0.1, -0.05, 0.3, 0.2]}
+
+
+class TestCoherentMeasurement:
+    """A coherent model with m = 4 gets the measurement of ``cr_coherent``:
+    X = L J^{S-1} plus its dilation tail in C^9."""
+
+    def test_squeezed_attains_the_bound(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "squeezed", SQUEEZED_SPEC)
+        assert run(["measurement", "--model", spec, "--weight", "identity",
+                    "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "coherent"
+        assert abs(report["risk"] - report["cr_value"]) \
+            <= 1e-8 * report["cr_value"]
+        assert np.max(np.abs(elements_sum(report) - np.eye(64))) <= 1e-8
+
+    def test_no_closed_form_refused(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "explicit3", explicit3_spec())
+        assert run(["measurement", "--model", spec]) == 2
+        assert "wait for a Holevo-bound optimizer" in capsys.readouterr().err
+
+
 class TestMixedWithoutClosedForm:
     @pytest.mark.parametrize("cmd", [["bound"], ["oracle", "--restarts", "1",
                                                   "--steps", "10"]])
@@ -698,6 +724,23 @@ class TestOneFramePerCommand:
                            "--seed", "5", "--format", "json"]) == 0
         json.loads(capsys.readouterr().out)
         assert counts == {"tangents": 1, "info_geometry": 1}
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer looks its functions up by name: a rename or a
+    # deletion in qest would crash every traced benchmark run
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    traced, = (ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["TRACED"])
+    missing = [f"{mod}.{name}" for mod, names in traced.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(mod), name,
+                                       None))]
+    assert traced and missing == []
 
 
 def test_import_loads_no_scipy():

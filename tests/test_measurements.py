@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import great_circle_model, synthetic_lift_model
-from qest.bounds import WeightMatrix, cr_coherent, cr_two_param, sld_bound
+from qest.bounds import (
+    WeightMatrix,
+    attainable_bound,
+    cr_coherent,
+    cr_two_param,
+    sld_bound,
+)
 from qest.geometry import info_geometry
 from qest.measurements import (
     PVM_TOL,
@@ -13,11 +19,17 @@ from qest.measurements import (
     construct_pvm_from_vectors,
     naimark_compress,
     optimal_postprocessing,
-    optimal_vectors_sld,
-    optimal_vectors_two_param,
+    optimal_vectors,
     outcome_distribution,
 )
-from qest.models import frame_at, sld_solve, zoo_canonical, zoo_spin_coherent
+from qest.models import (
+    frame_at,
+    sld_solve,
+    zoo_canonical,
+    zoo_pm_shift,
+    zoo_spin_coherent,
+    zoo_squeezed,
+)
 from qest.operators import ValidationError
 
 
@@ -129,7 +141,7 @@ class TestConstructPvm:
         geom = info_geometry(frame)
         weight = WeightMatrix.from_matrix(np.array([[1.0, 0.2], [0.2, 2.0]]))
         bound = cr_two_param(geom, weight)
-        vectors, _ = optimal_vectors_two_param(frame, geom, weight, bound)
+        vectors, _ = optimal_vectors(frame, bound)
         pvm = construct_pvm_from_vectors(vectors)
         pvm.validate()
         assert np.max(np.abs(pvm.meta["covariance"].real - bound.V_opt)) \
@@ -149,8 +161,7 @@ class TestOptimalVectors:
         frame = frame_at(model, theta)
         geom = info_geometry(frame)
         bound = cr_two_param(geom, WeightMatrix.from_matrix(np.eye(2)))
-        vectors, basis = optimal_vectors_two_param(
-            frame, geom, WeightMatrix.from_matrix(np.eye(2)), bound)
+        vectors, basis = optimal_vectors(frame, bound)
         # X = L J^{S-1} = L here (J^S = I): compare through the embedding
         l_e = basis.conj().T @ np.column_stack(frame.lifts)
         assert np.max(np.abs(vectors.X[:l_e.shape[0]] - l_e)) <= 1e-8
@@ -163,7 +174,7 @@ class TestOptimalVectors:
         g = np.diag([1.0, 4.0])
         weight = WeightMatrix.from_matrix(g)
         bound = cr_two_param(geom, weight)
-        vectors, _ = optimal_vectors_two_param(frame, geom, weight, bound)
+        vectors, _ = optimal_vectors(frame, bound)
         xx = (vectors.X.conj().T @ vectors.X).real
         assert abs(np.trace(g @ xx) - 9.0) <= 1e-8
 
@@ -174,8 +185,7 @@ class TestOptimalVectors:
         for g in [np.eye(2), geom.JS, np.array([[2.0, 0.4], [0.4, 1.0]])]:
             weight = WeightMatrix.from_matrix(g)
             bound = cr_two_param(geom, weight)
-            vectors, basis = optimal_vectors_two_param(
-                frame, geom, weight, bound)
+            vectors, basis = optimal_vectors(frame, bound)
             pvm = construct_pvm_from_vectors(vectors)
             risk = np.trace(g @ pvm.meta["covariance"]).real
             assert abs(risk - bound.cr_value) <= 1e-8 * max(1.0,
@@ -192,7 +202,7 @@ class TestOptimalVectorsSld:
                                                [0.3, 1.0, 0.1],
                                                [0.0, 0.1, 0.5]]))
         bound = sld_bound(geom, g)
-        vectors, basis = optimal_vectors_sld(frame, bound)
+        vectors, basis = optimal_vectors(frame, bound)
         pvm = construct_pvm_from_vectors(vectors)
         risk = np.trace(g.G @ pvm.meta["covariance"]).real
         assert abs(risk - bound.cr_value) <= 1e-10
@@ -206,7 +216,44 @@ class TestOptimalVectorsSld:
         bound = sld_bound(info_geometry(frame),
                           WeightMatrix.from_matrix(np.eye(2)))
         with pytest.raises(ValidationError):
-            optimal_vectors_sld(frame, bound)
+            optimal_vectors(frame, bound)
+
+
+RISK_MODELS = {
+    "spin_half": lambda: (zoo_spin_coherent(0.5, 0.5), [1.0, 0.4]),
+    "spin_3half": lambda: (zoo_spin_coherent(1.5, 0.5), [1.0, 0.5]),
+    "spin_1": lambda: (zoo_spin_coherent(1.0, 0.0), [1.1, 0.4]),
+    "pm_shift": lambda: (zoo_pm_shift(1, trunc_dim=32), [0.2, -0.1]),
+    "squeezed": lambda: (zoo_squeezed(trunc_dim=64), [0.1, -0.05, 0.3, 0.2]),
+}
+
+
+def _strict_random_weight(m):
+    a = np.random.default_rng(11).normal(size=(m, m))
+    return a @ a.T + 0.5 * np.eye(m)
+
+
+class TestRecomputedRisk:
+    """The risk of the built measurement, recomputed from its compressed
+    elements alone (outcome statistics, then the best locally unbiased
+    post-processing), equals the bound: a check that does not go through
+    the estimation-vector algebra."""
+
+    @pytest.mark.parametrize("weight", ["identity", "js", "random"])
+    @pytest.mark.parametrize("name", list(RISK_MODELS))
+    def test_equals_bound(self, name, weight):
+        model, theta = RISK_MODELS[name]()
+        frame = frame_at(model, np.array(theta))
+        geom = info_geometry(frame)
+        g = {"identity": np.eye(model.m), "js": geom.JS,
+             "random": _strict_random_weight(model.m)}[weight]
+        bound = attainable_bound(geom, WeightMatrix.from_matrix(g), True)
+        vectors, basis = optimal_vectors(frame, bound)
+        elements, _ = naimark_compress(construct_pvm_from_vectors(vectors),
+                                       basis)
+        risk, _ = optimal_postprocessing(
+            *outcome_distribution(frame, elements), g)
+        assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
 
 
 class TestCommutingSldEstimator:
@@ -253,7 +300,7 @@ class TestNaimark:
         geom = info_geometry(frame)
         weight = WeightMatrix.from_matrix(geom.JS)
         bound = cr_two_param(geom, weight)
-        vectors, basis = optimal_vectors_two_param(frame, geom, weight, bound)
+        vectors, basis = optimal_vectors(frame, bound)
         pvm = construct_pvm_from_vectors(vectors)
         return frame, pvm, basis
 
@@ -325,8 +372,7 @@ def _pipelines():
         geom = info_geometry(frame)
         for g in (geom.JS, np.array([[2.0, 0.4], [0.4, 1.0]])):
             weight = WeightMatrix.from_matrix(g)
-            vectors, basis = optimal_vectors_two_param(
-                frame, geom, weight, cr_two_param(geom, weight))
+            vectors, basis = optimal_vectors(frame, cr_two_param(geom, weight))
             out.append((construct_pvm_from_vectors(vectors), basis))
     frame = sld_solve(zoo_canonical([0.0, 0.8, 1.7]), np.array([1.1]))
     out.append((commuting_sld_estimator(frame, info_geometry(frame)),

@@ -4,7 +4,7 @@ import pytest
 from conftest import great_circle_model, synthetic_lift_model
 from qest.bounds import BoundResult, WeightMatrix, cr_two_param, sld_bound
 from qest.geometry import info_geometry
-from qest.measurements import construct_pvm_from_vectors, optimal_vectors_two_param
+from qest.measurements import construct_pvm_from_vectors, optimal_vectors
 from qest.models import (ParametricModel, _embed_frame, frame_at,
                          zoo_spin_coherent, zoo_squeezed)
 from qest.operators import (DERIV_FLOOR, PROB_FLOOR, InternalConsistencyError,
@@ -219,8 +219,7 @@ class TestWarmStart:
         g = geom.JS.copy()
         weight = WeightMatrix.from_matrix(g)
         bound = cr_two_param(geom, weight)
-        vectors, embedding = optimal_vectors_two_param(
-            frame, geom, weight, bound)
+        vectors, embedding = optimal_vectors(frame, bound)
         pvm = construct_pvm_from_vectors(vectors)
         dim = SearchConfig().resolved_dim(frame.m)
         warm = pvm_as_warm_start(pvm, embedding, frame, dim)
@@ -418,8 +417,7 @@ class TestSpeculativeRounds:
         g = geom.JS.copy()
         weight = WeightMatrix.from_matrix(g)
         bound = cr_two_param(geom, weight)
-        vectors, embedding = optimal_vectors_two_param(
-            frame, geom, weight, bound)
+        vectors, embedding = optimal_vectors(frame, bound)
         dim = SearchConfig().resolved_dim(frame.m)
         warm = pvm_as_warm_start(construct_pvm_from_vectors(vectors),
                                  embedding, frame, dim)
