@@ -17,7 +17,8 @@ import numpy as np
 
 from .operators import ORACLE_SLACK, InternalConsistencyError, ValidationError
 from .models import frame_at, load_model_spec
-from .geometry import InfoGeometry, coherency_det_check, info_geometry
+from .geometry import (InfoGeometry, coherency_det_check, info_geometry,
+                       rpf_transport)
 from .bounds import (
     WeightMatrix,
     attainable_bound,
@@ -457,6 +458,18 @@ def _selftest_checks():
     ok = 4.0 - ORACLE_SLACK <= res.best_value <= 4.2
     yield "oracle vs closed form on the spin model", ok, \
         f"value {res.best_value:.9g}"
+
+    # Stokes on the same model, with a second-order error
+    c = np.array([1.1, 0.6])
+    dev = []
+    for eps in (0.04, 0.02):
+        square = [c, c + [eps, 0], c + [eps, eps], c + [0, eps], c]
+        phase = rpf_transport(model, square, steps_per_edge=60)[1]
+        jt = info_geometry(frame_at(model, c + eps / 2)).Jtilde[0, 1]
+        dev.append(abs(phase / eps**2 + jt / 2))
+    ok = dev[1] <= 1e-4 and dev[1] <= 0.35 * dev[0]
+    yield "Berry phase of a small loop = -area*Jtilde_12/2", ok, \
+        f"dev {dev[1]:.2e}, ratio {dev[1] / dev[0]:.2f}"
 
 
 def _cmd_selftest(args):

@@ -1,8 +1,9 @@
 """Information geometry at a point: the SLD metric J^S, its antisymmetric
-partner J~, the beta-spectrum classification, Uhlmann curvature, and
-horizontal (relative-phase) transport along curves.
+partner J~, the beta-spectrum classification, Uhlmann curvature, and the
+discrete holonomy (relative-phase factor) of closed curves.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,73 +192,47 @@ def uhlmann_curvature(model, theta):
 
 
 def rpf_transport(model, vertices, steps_per_edge=200):
-    """Horizontal transport of a purification along a closed polygonal curve.
+    """Relative-phase factor ``(rpf, phase)`` of a closed polygon: the discrete
+    holonomy of the states at ``steps_per_edge`` evenly spaced points per
+    edge, k = 0 .. N-1, closed by N = 0.  Every consecutive fidelity,
+    |<phi_k|phi_{k+1}>| or tr S below, must be at least cos 0.5.
 
-    Integrates dW/dt = (1/2) L(t) W with classical 4th-order Runge-Kutta and
-    per-step renormalization, where L(t) is the SLD operator of the velocity.
-    Returns ``(rpf, phase)``: the relative-phase factor comparing the
-    transported endpoint against the start (an r x r unitary in general) and,
-    for pure models, the scalar phase -i ln of the unimodular factor.
+    Pure models (Bargmann product): from one ``model.states`` call,
+    rpf = prod_k conj<phi_k|phi_{k+1}> / |<phi_k|phi_{k+1}>| and ``phase`` =
+    arg rpf.  A small counter-clockwise loop of area A in the
+    (theta_i, theta_j) plane has phase ~ -A Jtilde_ij / 2.
+
+    Faithful mixed models (Uhlmann parallel transport): W_0 = U sqrt(p) from
+    rho_0 = U p U^dag and W_{k+1} = sqrt(rho_{k+1}) Q P^dag, where
+    W_k^dag sqrt(rho_{k+1}) = P S Q^dag, so that W_k^dag W_{k+1} >= 0.  Then
+    W_N = sqrt(rho_0) (u_0 .. u_{N-1})^dag U with u_k the unitary polar
+    factor of sqrt(rho_k) sqrt(rho_{k+1}); rpf is the polar factor of
+    pinv(W_0) W_N, and ``phase`` is None.
     """
-    vertices = [np.asarray(v, dtype=float) for v in vertices]
+    vertices = np.array(vertices, dtype=float)
     if np.linalg.norm(vertices[0] - vertices[-1]) > 1e-12:
         raise ValidationError("curve must be closed")
-
-    st0 = model.state(vertices[0])
+    t = np.arange(steps_per_edge)[:, None] / steps_per_edge
+    edges = vertices[1:] - vertices[:-1]
+    points = (vertices[:-1, None] + t * edges[:, None]).reshape(-1, model.m)
     if model.pure:
-        w = st0.vector.copy().astype(complex)
+        phi = model.states(points)
+        overlap = np.vecdot(phi, np.roll(phi, -1, axis=0))
+        fidelity = np.abs(overlap)
     else:
-        p, u = np.linalg.eigh(st0.density)
-        w = u * np.sqrt(np.clip(p, 0, None))
-    w0 = w.copy()
-
-    def l_of(theta, velocity):
-        ops = frame_at(model, theta).sld_operators()
-        acc = np.zeros((model.dim, model.dim), dtype=complex)
-        for v, op in zip(velocity, ops):
-            acc += v * op
-        return acc
-
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        seg = b - a
-        if np.linalg.norm(seg) == 0:
-            continue
-        h = 1.0 / steps_per_edge
-        for k in range(steps_per_edge):
-            t = k * h
-            w_prev = w
-
-            def rhs(tau, wmat):
-                return 0.5 * l_of(a + (t + tau) * seg, seg) @ wmat
-
-            k1 = rhs(0.0, w)
-            k2 = rhs(0.5 * h, w + 0.5 * h * k1)
-            k3 = rhs(0.5 * h, w + 0.5 * h * k2)
-            k4 = rhs(h, w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            # re-project to unit trace norm
-            if w.ndim == 1:
-                w = w / np.linalg.norm(w)
-                step_phase = abs(np.angle(np.vdot(w_prev, w)))
-            else:
-                w = w / np.sqrt(np.trace(w @ w.conj().T).real)
-                ov = np.trace(w_prev.conj().T @ w)
-                step_phase = abs(np.angle(ov)) if abs(ov) > 1e-12 else 0.0
-            if step_phase > 0.5:
-                raise ValidationError(
-                    "transport step too coarse: per-step phase change "
-                    f"{step_phase:.3f} rad > 0.5; increase steps_per_edge")
-
+        root = _sqrtm_psd(np.array([model.state(p).density for p in points]))
+        a, s, bh = np.linalg.svd(root @ np.roll(root, -1, axis=0))
+        fidelity = s.sum(axis=1)
+    if fidelity.min() < np.cos(0.5):
+        raise ValidationError(
+            f"transport step too coarse: fidelity {fidelity.min():.3f} between "
+            "consecutive states < cos 0.5; increase steps_per_edge")
     if model.pure:
-        rpf = np.vdot(w0, w)
-        rpf = rpf / abs(rpf)
-        phase = float(np.angle(rpf))  # = -i ln(rpf) for unimodular rpf
-        return rpf, phase
-    # reference purification of the endpoint state = the start purification
-    # (closed loop), which trivially satisfies the parallelism condition
-    u_raw = np.linalg.pinv(w0) @ w
-    uu, _, vv = np.linalg.svd(u_raw)
-    return uu @ vv, None
+        rpf = np.prod(overlap.conj() / fidelity)
+        return rpf, float(np.angle(rpf))
+    u = np.linalg.eigh(root[0])[1]
+    holonomy = functools.reduce(np.matmul, a @ bh)  # u_0 u_1 .. u_{N-1}
+    return u.conj().T @ holonomy.conj().T @ u, None
 
 
 @dataclass(frozen=True)

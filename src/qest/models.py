@@ -100,14 +100,6 @@ class TangentFrame:
     def m(self):
         return len(self.lifts) if self.pure else len(self.slds)
 
-    def sld_operators(self):
-        """SLD operators, valid for pure frames too:
-        L_i = |l_i><phi| + |phi><l_i|."""
-        if not self.pure:
-            return list(self.slds)
-        return [np.outer(l, self.phi.conj()) + np.outer(self.phi, l.conj())
-                for l in self.lifts]
-
 
 def _embed_frame(frame, dilate_dim):
     """Dilated embedding of a pure frame.

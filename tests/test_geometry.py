@@ -168,6 +168,69 @@ class TestRpfTransport:
         assert e2 <= 1e-4
         assert e2 <= 0.35 * e1   # convergence order >= 2
 
+    @pytest.mark.parametrize("s, m_z", [(0.5, 0.5), (1.5, -1.5)])
+    def test_small_loop_phase_sign(self, s, m_z):
+        # phase / area -> -Jtilde_12 / 2, sign included: m_z = -3/2 flips
+        # the sign of Jtilde
+        model = zoo_spin_coherent(s, m_z)
+        c = np.array([1.1, 0.6])
+
+        def deviation(eps):
+            square = [c, c + [eps, 0], c + [eps, eps], c + [0, eps], c]
+            _, phase = rpf_transport(model, square, steps_per_edge=60)
+            jt12 = geometry_at(model, c + eps / 2).Jtilde[0, 1]
+            return phase / eps**2 + jt12 / 2
+
+        d1, d2 = deviation(0.04), deviation(0.02)
+        assert abs(d2) <= 1e-4
+        assert abs(d2) <= 0.35 * abs(d1)
+
+    def test_open_curve_rejected(self):
+        model = zoo_spin_coherent(0.5, 0.5)
+        with pytest.raises(ValidationError, match="curve must be closed"):
+            rpf_transport(model, [np.array([0.8, 0.4]), np.array([0.9, 0.5])])
+
+    def test_coarse_step_rejected(self):
+        model = zoo_spin_coherent(0.5, 0.5)
+        c = np.array([1.1, 0.6])
+        box = [c, c + [1.2, 0], c + [1.2, 1.5], c + [0, 1.5], c]
+        with pytest.raises(ValidationError,
+                           match="transport step too coarse"):
+            rpf_transport(model, box, steps_per_edge=1)
+
+    def test_classical_mixed_loop_trivial(self):
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        basis, _ = np.linalg.qr(z)
+        model = diagonal_qubit_model(basis)
+        c, eps = np.array([0.05, 0.02]), 0.05
+        square = [c, c + [eps, 0], c + [eps, eps], c + [0, eps], c]
+        rpf, phase = rpf_transport(model, square, steps_per_edge=20)
+        assert phase is None
+        assert np.max(np.abs(rpf - np.eye(2))) <= 1e-10
+
+    def test_mixed_loop_matches_uhlmann_curvature(self):
+        # Stokes for the Uhlmann connection: (rpf - I) / area -> the
+        # anti-Hermitian part of W_0^-1 F_12 W_0 / 2, F at the centroid
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+        model = rotation_qubit_model(0.5 * SIGMA_X, 0.5 * SIGMA_Y, rho0)
+        c = np.array([0.3, 0.5])
+        p, u = np.linalg.eigh(model.state(c).density)
+        w0 = u * np.sqrt(p)
+
+        def rel_error(eps):
+            square = [c, c + [eps, 0], c + [eps, eps], c + [0, eps], c]
+            rpf, _ = rpf_transport(model, square, steps_per_edge=60)
+            f = uhlmann_curvature(model, c + eps / 2)[(0, 1)]
+            x = np.linalg.inv(w0) @ f @ w0
+            target = 0.25 * (x - x.conj().T)
+            err = np.linalg.norm((rpf - np.eye(2)) / eps**2 - target)
+            return err / np.linalg.norm(target)
+
+        e1, e2 = rel_error(0.04), rel_error(0.02)
+        assert e2 <= 0.01
+        assert e2 <= 0.6 * e1
+
 
 class TestDirectSum:
     def test_single_block(self):
