@@ -210,6 +210,12 @@ def rpf_transport(model, vertices, steps_per_edge=200):
     pinv(W_0) W_N, and ``phase`` is None.
     """
     vertices = np.array(vertices, dtype=float)
+    if len(vertices) < 2:
+        raise ValidationError(
+            f"polygon needs at least two vertices, got {len(vertices)}")
+    if steps_per_edge < 1:
+        raise ValidationError(
+            f"steps_per_edge must be at least 1, got {steps_per_edge}")
     if np.linalg.norm(vertices[0] - vertices[-1]) > 1e-12:
         raise ValidationError("curve must be closed")
     t = np.arange(steps_per_edge)[:, None] / steps_per_edge

@@ -12,11 +12,12 @@ import numpy as np
 
 from .operators import (
     DERIV_FLOOR,
+    GRAM_IMAG_RTOL,
     PROB_FLOOR,
     SINGULAR_RTOL,
     InternalConsistencyError,
+    NotRealGramError,
     ValidationError,
-    _gram_schmidt_stack,
     _sqrtm_psd,
 )
 from .models import _embed_stack
@@ -180,15 +181,19 @@ def _householder_orthogonal(k):
 def construct_pvm_from_vectors(vectors):
     """Projective measurement realizing the covariance Re X*X.
 
-    Given estimation vectors (phi, X) with real Gram data (<phi|x^i> = 0,
-    Im X*X = 0), orthonormalizes {phi, x^1..x^m} with real coefficients,
-    mixes the resulting basis by the real orthogonal Householder O whose
-    first column is uniform (so every mixed vector overlaps phi), and
-    returns the rank-one projectors |b'_k><b'_k| plus a remainder projector
-    with estimate theta.
+    Given estimation vectors (phi, X) in C^D, factors Re X*X = R^T R
+    (Cholesky) and takes the orthonormal basis phi, X R^{-1}: the
+    orthonormalization of {phi, x^1..x^m} with real coefficients
+    lambda = [0 | R^T].  It mixes that basis by the real orthogonal
+    Householder O whose first column is uniform (so every mixed vector
+    overlaps phi), and returns the rank-one projectors |b'_k><b'_k| plus,
+    when D > m + 1, a remainder projector with estimate theta.
 
-    Output covariance equals Re X*X and the measurement is locally unbiased;
-    both are verified before returning.
+    Raises :class:`NotRealGramError` when Im X*X is not zero, and
+    :class:`ValidationError` when some <phi|x^i> is not zero, when the x^i
+    are linearly dependent, or when D < m + 1.  Output covariance equals
+    Re X*X and the measurement is locally unbiased; both are verified
+    before returning.
     """
     phi = np.asarray(vectors.phi, dtype=complex)
     projectors, est, cov = _pvm_stack(
@@ -204,22 +209,35 @@ def _pvm_stack(phi, x, theta):
     """:func:`construct_pvm_from_vectors` for a stack of T rows: states
     (T, D), vectors (T, D, m) and points (T, m).  Returns the projectors
     (T, K, D, D), the estimates (T, K, m) and the covariances (T, m, m),
-    every row verified.  Every row must have the same rank."""
-    dim = phi.shape[1]
-    basis, coeffs, rank = _gram_schmidt_stack(
-        np.concatenate([phi[:, None, :], x.swapaxes(1, 2)], axis=1))
-    r = int(rank[0])
-    if (rank != r).any():
-        raise ValidationError("stacked estimation vectors differ in rank")
-    if dim < r:
+    every row verified.  Row t's basis is phi, then the rows of R^{-T} X^T
+    from the Cholesky factor Re X*X = R^T R.  The stack is refused when
+    any row has Im X*X != 0 (:class:`NotRealGramError`), some
+    <phi|x^i> != 0, linearly dependent x^i, or D < m + 1."""
+    dim, m = x.shape[1:]
+    x_adj = x.conj().swapaxes(1, 2)
+    gram = x_adj @ x
+    big = np.maximum(np.abs(gram).max(axis=(1, 2)), 1.0)
+    imag = np.abs(gram.imag).max(axis=(1, 2))
+    if (imag > GRAM_IMAG_RTOL * big).any():
+        raise NotRealGramError(
+            f"Gram matrix imaginary part {imag.max():.3e} exceeds tolerance")
+    if np.abs(x_adj @ phi[:, :, None]).max() > XCHECK_TOL:
+        raise ValidationError("estimation vectors not orthogonal to phi")
+    if dim < m + 1:
         raise ValidationError("ambient space too small for the construction")
+    try:
+        r_t = np.linalg.cholesky(gram.real)
+    except np.linalg.LinAlgError:
+        raise ValidationError(
+            "estimation vectors are linearly dependent") from None
     # rows of basis are b^1 = phi, b^2, ...; lam[t, i, j]: coefficient of
-    # x^i on basis vector j (row 0 of coeffs is phi)
-    basis = basis[:, :r]
-    lam = coeffs[:, 1:, :r]
+    # x^i on basis vector j, zero on phi
+    basis = np.concatenate(
+        [phi[:, None], np.linalg.solve(r_t, x.swapaxes(1, 2))], axis=1)
+    lam = np.concatenate([np.zeros((len(x), m, 1)), r_t], axis=2)
 
-    o = _householder_orthogonal(r)
-    # <b'_kappa | phi> = O[kappa, 0] since b^1 = phi: 1/sqrt(rank) each
+    o = _householder_orthogonal(m + 1)
+    # <b'_kappa | phi> = O[kappa, 0] since b^1 = phi: 1/sqrt(m + 1) each
     if np.min(np.abs(o[:, 0])) <= 1e-9:
         raise InternalConsistencyError("orthogonal mix has an outcome with "
                                        "zero overlap")
@@ -227,11 +245,8 @@ def _pvm_stack(phi, x, theta):
     bprime = o @ basis                     # rows are b'_kappa
     projectors = bprime[..., :, None] * bprime.conj()[..., None, :]
     est = theta[:, None] + (o @ lam.swapaxes(1, 2)) / o[:, :1]
-    rem = np.eye(dim) - basis.swapaxes(1, 2) @ basis.conj()
-    has_rem = np.abs(rem).max(axis=(1, 2)) > PVM_TOL
-    if (has_rem != has_rem[0]).any():
-        raise ValidationError("stacked measurements differ in remainder")
-    if has_rem[0]:
+    if dim > m + 1:
+        rem = np.eye(dim) - basis.swapaxes(1, 2) @ basis.conj()
         projectors = np.concatenate([projectors, rem[:, None]], axis=1)
         est = np.concatenate([est, theta[:, None]], axis=1)
     _check_pvm(projectors, dim)
@@ -244,9 +259,8 @@ def _pvm_stack(phi, x, theta):
         raise InternalConsistencyError("constructed PVM is biased")
     dev = est - theta[:, None]
     cov = (dev * p[..., None]).swapaxes(1, 2) @ dev
-    target = (x.conj().swapaxes(1, 2) @ x).real
-    if (np.abs(cov - target).max(axis=(1, 2)) > 1e-9 * np.maximum(
-            1.0, np.abs(target).max(axis=(1, 2)))).any():
+    if (np.abs(cov - gram.real).max(axis=(1, 2)) > 1e-9 * np.maximum(
+            1.0, np.abs(gram.real).max(axis=(1, 2)))).any():
         raise InternalConsistencyError(
             "constructed PVM covariance does not match Re X*X")
     return projectors, est, cov

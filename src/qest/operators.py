@@ -17,12 +17,10 @@ __all__ = [
     "hermitian_eigendecomposition",
     "skew_flow",
     "matrix_exponential_skew",
-    "gram_schmidt_real_coefficients",
     "QuantumState",
     "pure_state",
     "unit_rows",
     "mixed_state",
-    "Purification",
 ]
 
 
@@ -34,8 +32,6 @@ PSD_FLOOR = -1e-12           # allowed negative eigenvalue of a state
 RECONSTRUCTION_RTOL = 1e-10  # eigendecomposition residual, per dimension
 UNITARY_TOL = 1e-10          # singular-value deviation of a unitary
 GRAM_IMAG_RTOL = 1e-8        # Im part of a "real" Gram matrix
-REAL_COEFF_RTOL = 1e-10      # Im part of a Gram-Schmidt coefficient
-RANK_RTOL = 1e-10            # linear-dependence cutoff in Gram-Schmidt
 PHASE_RTOL = 1e-8            # eigenvector component counted for phase fixing
 LIFT_RESIDUAL_RTOL = 1e-8    # SLD reconstruction residual
 # Shared by several modules:
@@ -156,69 +152,6 @@ def matrix_exponential_skew(h, scale=1.0):
     return v
 
 
-def gram_schmidt_real_coefficients(vectors):
-    """Orthonormalize ``vectors`` assuming their Gram matrix is real.
-
-    Returns ``(basis, coeffs, rank)`` where ``basis`` is a list of
-    orthonormal complex vectors, ``coeffs[i]`` are the (real) expansion
-    coefficients of input ``i`` in that basis, and ``rank`` is the number of
-    independent inputs.  Linearly dependent inputs are kept in ``coeffs`` but
-    contribute no new basis vector.
-
-    Raises :class:`NotRealGramError` when the Gram matrix has an imaginary
-    part above tolerance -- in that case real-coefficient orthogonalization
-    is impossible and the commuting-measurement construction does not apply.
-    """
-    vs = np.array([np.asarray(v, dtype=complex).ravel() for v in vectors])
-    basis, coeffs, rank = _gram_schmidt_stack(vs[None])
-    rank = int(rank[0])
-    return list(basis[0, :rank]), coeffs[0, :, :rank], rank
-
-
-def _gram_schmidt_stack(vs):
-    """:func:`gram_schmidt_real_coefficients` of each row of a (T, n, D)
-    stack of n vectors.  Returns ``(basis, coeffs, rank)`` with shapes
-    (T, n, D), (T, n, n) and (T,): row t's basis vectors fill the first
-    ``rank[t]`` slots, and the slots after them are zero."""
-    n = vs.shape[1]
-    gram = vs.conj() @ vs.swapaxes(1, 2)
-    big = np.maximum(np.abs(gram).max(axis=(1, 2)), 1.0)
-    imag = np.abs(gram.imag).max(axis=(1, 2))
-    if (imag > GRAM_IMAG_RTOL * big).any():
-        raise NotRealGramError(
-            f"Gram matrix imaginary part {imag.max():.3e} exceeds tolerance")
-    floor = RANK_RTOL * np.sqrt(
-        np.maximum(np.abs(gram.real).max(axis=(1, 2)), 1e-300))
-
-    # vector i gives basis slot i, left zero when it adds no new direction
-    basis = np.zeros_like(vs)
-    coeffs = np.zeros(vs.shape[:1] + (n, n), dtype=complex)
-    new = np.empty(basis.shape[:2], dtype=bool)
-    for i in range(n):
-        resid = vs[:, i]
-        if i:
-            c = coeffs[:, i, :i] = np.vecdot(basis[:, :i], resid[:, None])
-            c = c.real
-            for j in range(i):
-                resid = resid - c[:, j, None] * basis[:, j]
-        nrm = np.sqrt((resid.conj() * resid).real.sum(axis=1))
-        keep = new[:, i] = nrm > floor
-        np.divide(resid, nrm[:, None], out=basis[:, i], where=keep[:, None])
-        np.copyto(coeffs[:, i, i], nrm, where=keep)
-    bad = np.abs(coeffs.imag) > REAL_COEFF_RTOL * np.maximum(1.0,
-                                                             np.abs(coeffs))
-    if bad.any():
-        raise NotRealGramError(
-            f"non-real Gram-Schmidt coefficient {coeffs[bad][0]:.3e}")
-    coeffs = coeffs.real
-    if not new.all():
-        # move each row's basis vectors to its first slots, in order
-        order = np.argsort(~new, axis=1, kind="stable")
-        basis = np.take_along_axis(basis, order[:, :, None], axis=1)
-        coeffs = np.take_along_axis(coeffs, order[:, None, :], axis=2)
-    return basis, coeffs, new.sum(axis=1)
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Validated pure or mixed state.
@@ -274,19 +207,3 @@ def mixed_state(rho, require_faithful=False):
             f"state is not faithful: min eigenvalue {w[0]:.3e} below "
             f"threshold {FAITHFUL_MIN_EIG:.1e}")
     return QuantumState(kind="mixed", dim=rho.shape[0], density=rho)
-
-
-@dataclass(frozen=True)
-class Purification:
-    """d x r matrix W with rho = W W^dag and tr W W^dag = 1."""
-
-    W: np.ndarray
-
-    def __post_init__(self):
-        tr = np.trace(self.W @ self.W.conj().T).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"purification trace = {tr!r}, expected 1")
-
-    @property
-    def rho(self):
-        return self.W @ self.W.conj().T

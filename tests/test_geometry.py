@@ -190,6 +190,16 @@ class TestRpfTransport:
         with pytest.raises(ValidationError, match="curve must be closed"):
             rpf_transport(model, [np.array([0.8, 0.4]), np.array([0.9, 0.5])])
 
+    @pytest.mark.parametrize("vertices, steps, match", [
+        ([[1.1, 0.6]], 200, "at least two vertices, got 1"),
+        ([[1.1, 0.6], [2.3, 0.6], [2.3, 2.1], [1.1, 2.1], [1.1, 0.6]], 0,
+         "steps_per_edge must be at least 1, got 0"),
+    ], ids=["single_vertex", "zero_steps"])
+    def test_degenerate_polygon_rejected(self, vertices, steps, match):
+        model = zoo_spin_coherent(0.5, 0.5)
+        with pytest.raises(ValidationError, match=match):
+            rpf_transport(model, np.array(vertices), steps_per_edge=steps)
+
     def test_coarse_step_rejected(self):
         model = zoo_spin_coherent(0.5, 0.5)
         c = np.array([1.1, 0.6])

@@ -21,6 +21,7 @@ from qest.measurements import (
     optimal_postprocessing,
     optimal_vectors,
     outcome_distribution,
+    _householder_orthogonal,
 )
 from qest.models import (
     frame_at,
@@ -154,6 +155,20 @@ class TestConstructPvm:
         with pytest.raises(ValidationError):
             construct_pvm_from_vectors(vectors)
 
+    @pytest.mark.parametrize("phi, x, match", [
+        ([1.0, 0.0, 0.0], [[0.1, 0.0], [1.0, 0.0], [0.0, 1.0]],
+         "not orthogonal to phi"),
+        ([1.0, 0.0, 0.0], [[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]],
+         "linearly dependent"),
+        ([1.0, 0.0], [[0.0, 0.0], [1.0, 0.5]], "ambient space too small"),
+    ], ids=["overlaps_phi", "dependent", "too_small"])
+    def test_entry_checks(self, phi, x, match):
+        vectors = EstimationVectors(phi=np.array(phi, dtype=complex),
+                                    X=np.array(x, dtype=complex),
+                                    theta=np.zeros(2))
+        with pytest.raises(ValidationError, match=match):
+            construct_pvm_from_vectors(vectors)
+
 
 class TestOptimalVectors:
     def test_beta_zero_reduces_to_lifts(self):
@@ -223,6 +238,7 @@ RISK_MODELS = {
     "spin_half": lambda: (zoo_spin_coherent(0.5, 0.5), [1.0, 0.4]),
     "spin_3half": lambda: (zoo_spin_coherent(1.5, 0.5), [1.0, 0.5]),
     "spin_1": lambda: (zoo_spin_coherent(1.0, 0.0), [1.1, 0.4]),
+    "spin_1_pole": lambda: (zoo_spin_coherent(1.0, 0.0), [0.003, 0.7]),
     "pm_shift": lambda: (zoo_pm_shift(1, trunc_dim=32), [0.2, -0.1]),
     "squeezed": lambda: (zoo_squeezed(trunc_dim=64), [0.1, -0.05, 0.3, 0.2]),
 }
@@ -363,17 +379,54 @@ def _naimark_loop(pvm, embedding):
     return np.array(elements)
 
 
-def _pipelines():
-    """(pvm, embedding) of the two-parameter construction on spin 1/2, 1
-    and 3/2 at two weights each, and of a commuting-SLD estimator."""
+def _gram_schmidt_loop(vectors):
+    """Reference: orthonormalize phi, x^1..x^m one vector at a time with
+    real coefficients, mix the basis by the Householder O and announce
+    theta + lambda O[k] / O[k, 0] on outcome k, then the remainder."""
+    theta, dim, m = vectors.theta, *vectors.X.shape
+    basis, lam = [], np.zeros((m, m + 1))
+    for i, v in enumerate([vectors.phi, *vectors.X.T]):
+        resid = v
+        for j, b in enumerate(basis):
+            c = np.vdot(b, v).real
+            resid = resid - c * b
+            if i:
+                lam[i - 1, j] = c
+        nrm = np.linalg.norm(resid)
+        basis.append(resid / nrm)
+        if i:
+            lam[i - 1, i] = nrm
+    o = _householder_orthogonal(m + 1)
+    projectors, estimates = [], []
+    for k in range(m + 1):
+        b = o[k] @ np.array(basis)
+        projectors.append(np.outer(b, b.conj()))
+        estimates.append(theta + lam @ o[k] / o[k, 0])
+    if dim > m + 1:
+        projectors.append(np.eye(dim) - sum(np.outer(b, b.conj())
+                                            for b in basis))
+        estimates.append(theta)
+    return np.array(projectors), np.array(estimates)
+
+
+def _two_param_builds():
+    """(vectors, embedding) of the two-parameter construction on spin 1/2, 1
+    and 3/2 at two weights each."""
     out = []
     for s, m_z in [(0.5, 0.5), (1.0, 0.0), (1.5, 0.5)]:
         frame = frame_at(zoo_spin_coherent(s, m_z), np.array([0.9, 0.5]))
         geom = info_geometry(frame)
         for g in (geom.JS, np.array([[2.0, 0.4], [0.4, 1.0]])):
             weight = WeightMatrix.from_matrix(g)
-            vectors, basis = optimal_vectors(frame, cr_two_param(geom, weight))
-            out.append((construct_pvm_from_vectors(vectors), basis))
+            out.append(optimal_vectors(frame, cr_two_param(geom, weight)))
+    return out
+
+
+def _pipelines():
+    """(pvm, embedding) of the two-parameter construction on spin 1/2, 1
+    and 3/2 at two weights each, and of a commuting-SLD estimator."""
+    out = [(construct_pvm_from_vectors(vectors), basis)
+           for vectors, basis in _two_param_builds()]
     frame = sld_solve(zoo_canonical([0.0, 0.8, 1.7]), np.array([1.1]))
     out.append((commuting_sld_estimator(frame, info_geometry(frame)),
                 np.eye(3, dtype=complex)))
@@ -381,8 +434,8 @@ def _pipelines():
 
 
 class TestStackedPvm:
-    """The stacked validation and compression against the per-projector
-    loops they replace."""
+    """The stacked construction, validation and compression against the
+    per-vector and per-projector loops they replace."""
 
     # fixed before measuring: compressed elements are bounded by 1, and
     # the stacked products may round differently from one 2-D product
@@ -402,6 +455,21 @@ class TestStackedPvm:
             assert got.shape == want.shape
             assert has_rem == (len(got) > len(pvm.projectors))
             assert np.max(np.abs(got - want)) <= self.COMPRESS_TOL
+
+    def test_construction_matches_the_loop(self):
+        frame = frame_at(zoo_squeezed(trunc_dim=64),
+                         np.array([0.1, -0.05, 0.3, 0.2]))
+        geom = info_geometry(frame)
+        coherent = attainable_bound(geom, WeightMatrix.from_matrix(np.eye(4)),
+                                    True)
+        assert coherent.method == "coherent"
+        builds = [vectors for vectors, _ in _two_param_builds()]
+        builds.append(optimal_vectors(frame, coherent)[0])
+        for vectors in builds:
+            pvm = construct_pvm_from_vectors(vectors)
+            projectors, estimates = _gram_schmidt_loop(vectors)
+            assert np.max(np.abs(pvm.projectors - projectors)) <= 1e-13
+            assert np.max(np.abs(pvm.estimates - estimates)) <= 1e-13
 
     @staticmethod
     def _qutrit_stack(defect=None):

@@ -3,10 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from qest.operators import (
-    NotRealGramError,
-    Purification,
     ValidationError,
-    gram_schmidt_real_coefficients,
     hermitian_eigendecomposition,
     matrix_exponential_skew,
     mixed_state,
@@ -100,51 +97,6 @@ class TestMatrixExponential:
         assert np.max(np.abs(sv - 1.0)) <= 1e-10
 
 
-class TestGramSchmidtReal:
-    def test_identity_case(self):
-        vs = [np.array([1.0, 0.0], dtype=complex),
-              np.array([0.0, 1.0], dtype=complex)]
-        basis, coeffs, rank = gram_schmidt_real_coefficients(vs)
-        assert rank == 2
-        assert np.allclose(basis, np.eye(2))
-        assert np.allclose(coeffs, np.eye(2))
-
-    def test_two_dim_real(self):
-        vs = [np.array([1.0, 0.0], dtype=complex),
-              np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)]
-        basis, coeffs, rank = gram_schmidt_real_coefficients(vs)
-        assert rank == 2
-        assert np.allclose(np.abs(basis[1]), [0.0, 1.0])
-        assert np.isrealobj(coeffs)
-
-    def test_random_real_span(self):
-        rng = np.random.default_rng(13)
-        # complex basis of a 3-dim subspace; real combinations keep the
-        # Gram matrix real
-        q, _ = np.linalg.qr(rng.standard_normal((8, 3))
-                            + 1j * rng.standard_normal((8, 3)))
-        vs = [q @ rng.standard_normal(3) for _ in range(5)]
-        basis, coeffs, rank = gram_schmidt_real_coefficients(vs)
-        assert rank == 3
-        assert np.isrealobj(coeffs)
-        bmat = np.column_stack(basis)
-        gram = bmat.conj().T @ bmat
-        assert np.max(np.abs(gram - np.eye(rank))) <= 1e-10
-        rebuilt = bmat @ coeffs.T
-        assert np.allclose(rebuilt, np.column_stack(vs), atol=1e-10)
-
-    def test_complex_gram_rejected(self):
-        vs = [np.array([0.0, 1.0], dtype=complex),
-              np.array([1.0, 1j], dtype=complex) / np.sqrt(2)]
-        with pytest.raises(NotRealGramError):
-            gram_schmidt_real_coefficients(vs)
-
-    def test_rank_reported_for_dependent_inputs(self):
-        v = np.array([1.0, 2.0, 0.0], dtype=complex)
-        _, _, rank = gram_schmidt_real_coefficients([v, 2.0 * v])
-        assert rank == 1
-
-
 class TestStates:
     def test_pure_norm_enforced(self):
         with pytest.raises(ValidationError):
@@ -179,11 +131,3 @@ class TestStates:
             worse[1, 0] = bad
             with pytest.raises(ValidationError):
                 unit_rows(worse)
-
-    def test_purification_trace(self):
-        w = np.array([[0.6, 0.0], [0.0, 0.8]], dtype=complex)
-        p = Purification(w)
-        rho = p.W @ p.W.conj().T
-        assert abs(np.trace(rho) - 1.0) <= 1e-12
-        with pytest.raises(ValidationError):
-            Purification(2.0 * w)
