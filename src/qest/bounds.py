@@ -188,25 +188,24 @@ def cr_two_param(geom, weight):
     multiplier Lambda is recovered in closed form and the full stationarity
     system is checked as a residual.  The estimation vectors have
     C = V G (G - i Lambda)^{-1}, or C = J^{S-1} on a coherent point, where
-    that matrix is (nearly) singular; a rank-one weight gets no C.
+    that matrix is (nearly) singular.  A weight that is not strict (as
+    :meth:`WeightMatrix.from_matrix` decides) is rank-one and gets no C.
     """
     if geom.m != 2:
         raise ValidationError("cr_two_param requires a 2-parameter model")
     s_inv = geom.S_inv_half
     g_n = _normalized_weight(s_inv, weight.G)
-    gw = np.linalg.eigvalsh(g_n)
-    rank1 = gw[0] <= SINGULAR_RTOL * max(1.0, gw[-1])
 
-    if rank1:
-        # Tr G V is constant (= g1 * 1) along the achievable half-line; for
-        # maximally incompatible pairs no finite optimizer exists.
-        g1 = gw[-1]
-        value = g1 * 1.0
-        if g1 <= 0:
+    if not weight.strict:
+        # Tr G V equals the SLD floor Tr G J^{S-1} = Tr g_n along the
+        # achievable half-line; for maximally incompatible pairs no finite
+        # optimizer exists.
+        value = float(np.trace(g_n))
+        if value <= 0:
             return BoundResult(cr_value=0.0, method="two_param",
                                note="zero weight")
         if geom.coherent:
-            return BoundResult(cr_value=float(value), method="two_param",
+            return BoundResult(cr_value=value, method="two_param",
                                attained="infimum_only",
                                note="rank-one weight on a maximally "
                                     "incompatible pair: infimum only")
@@ -216,7 +215,7 @@ def cr_two_param(geom, weight):
         r = _so2_diagonalizer(g_n[None])[0][0]
         v_line = np.diag([1.0, 1.0 + 2.0 * beta**2 / (1.0 - beta**2)])
         v_opt = s_inv @ (r @ v_line @ r.T) @ s_inv
-        return BoundResult(cr_value=float(value), method="two_param",
+        return BoundResult(cr_value=value, method="two_param",
                            V_opt=v_opt)
 
     value, v_opt, c = _two_param_stack(
@@ -255,9 +254,7 @@ def _curve_optimum(g1, g2, beta_signed, coherent):
     """Normalized variances u, v, the value and g1 lambda (lambda the
     Lagrange multiplier) of one point, from the weight's eigenvalues
     g1 >= g2 and the signed beta; the stationarity system is checked as a
-    residual.  A rank-one weight has no finite optimizer here."""
-    if g2 <= SINGULAR_RTOL * max(1.0, g1):
-        raise ValidationError("rank-one weight: no finite optimizer")
+    residual.  The weight is strict: a rank-one one has no finite optimizer."""
     beta = abs(beta_signed)
     if coherent:
         # classified coherent: use the exact beta = 1 curve (the bisection
@@ -368,13 +365,14 @@ def cr_coherent(geom, weight):
 
 
 def cr_general_js(geom):
-    """Invariant-weight bound CR(J^S) for a general pure model:
-    sum over all m eigenvalue moduli alpha of J^{S-1} J~ of
-    2 / (1 + sqrt(1 - alpha^2)).  Equals m when quasi-classical and 2m when
+    """Invariant-weight bound CR(J^S) for a general pure model: over the m
+    eigenvalue moduli alpha of J^{S-1} J~, the sum of
+    2 / (1 + sqrt(1 - alpha^2)); each beta pair contributes twice and each
+    zero eigenvalue 1.  Equals m when quasi-classical and 2m when
     coherent."""
-    moduli = geom.eigenvalue_moduli()
-    moduli = np.clip(moduli, 0.0, 1.0)
-    value = float(np.sum(2.0 / (1.0 + np.sqrt(1.0 - moduli**2))))
+    betas = np.clip(geom.beta_pairs, 0.0, 1.0)
+    value = float(np.sum(4.0 / (1.0 + np.sqrt(1.0 - betas**2)))
+                  + geom.n_zero)
     return BoundResult(cr_value=value, method="general_js",
                        note="weight G = J^S")
 

@@ -316,7 +316,8 @@ def _cmd_simulate_qmle(args):
         header = "trial,n," + ",".join(f"theta_hat_{i + 1}"
                                        for i in range(model.m))
         rows = [header]
-        for t, hat in enumerate(res.theta_hats):
+        kept = sorted(set(range(cfg.trials)).difference(dict(res.exclusions)))
+        for t, hat in zip(kept, res.theta_hats):
             rows.append(f"{t},{cfg.n_samples},"
                         + ",".join(repr(float(v)) for v in hat))
         csv_text = "\n".join(rows) + "\n"

@@ -25,7 +25,6 @@ __all__ = [
 QUASI_CLASSICAL_RTOL = 1e-9
 COHERENT_BETA_TOL = 1e-6
 BETA_PAIR_TOL = 1e-8
-BETA_PAIR_HARD = 1e-6
 CURVATURE_STEP = 1e-4
 
 
@@ -36,8 +35,8 @@ class InfoGeometry:
     Only ``JS`` and ``Jtilde`` are given; the rest is derived once, here:
     ``N`` = J^{S-1/2} J~ J^{S-1/2} with the roots ``S_half`` = J^{S1/2} and
     ``S_inv_half`` = J^{S-1/2}; ``beta_pairs`` lists one beta per
-    2-dimensional rotation block of J^{S-1} J~ (the +-i*beta eigenvalue
-    pairs), and ``n_zero`` counts the remaining zero eigenvalues, so
+    2-dimensional rotation block of J^{S-1} J~ (the positive eigenvalues of
+    iN, descending), and ``n_zero`` counts the zero eigenvalues, so
     2*len(beta_pairs) + n_zero = m.
     """
 
@@ -65,32 +64,27 @@ class InfoGeometry:
     def m(self):
         return self.JS.shape[0]
 
-    def eigenvalue_moduli(self):
-        """All m moduli (each pair contributes twice, zeros once)."""
-        out = []
-        for b in self.beta_pairs:
-            out.extend([b, b])
-        out.extend([0.0] * self.n_zero)
-        return np.array(sorted(out, reverse=True))
-
 
 def _derive_stack(js, jt):
     """The derived fields of :class:`InfoGeometry` for a (T, m, m) stack of
     (J^S, J~) pairs: N, S_half and S_inv_half with a leading row axis, and
-    per row the tuple (beta_pairs, n_zero, quasi_classical, coherent)."""
+    per row the tuple (beta_pairs, n_zero, quasi_classical, coherent).  The
+    Hermitian iN has eigenvalues +-beta and zeros: one stacked ``eigvalsh``
+    gives each row's beta pairs as its eigenvalues above ``BETA_PAIR_TOL``."""
     m = js.shape[-1]
     n_skew, s_half, s_inv_half = _normalized_skew(js, jt)
     quasi = np.abs(jt).max(axis=(1, 2)) <= QUASI_CLASSICAL_RTOL * np.maximum(
         np.abs(js).max(axis=(1, 2)), 1e-300)
     rows = []
-    for sv, q in zip(np.linalg.svd(n_skew, compute_uv=False), quasi.tolist()):
-        beta_pairs, n_zero = _pair_betas(sv, m)
+    for w, q in zip(np.linalg.eigvalsh(1j * n_skew)[:, ::-1].tolist(),
+                    quasi.tolist()):
+        beta_pairs = tuple(b for b in w if b > BETA_PAIR_TOL)
         if beta_pairs and beta_pairs[0] > 1.0 + 1e-9:
             raise InternalConsistencyError(
                 f"beta = {beta_pairs[0]!r} exceeds 1; invalid frame")
-        coherent = (m % 2 == 0 and len(beta_pairs) == m // 2 and all(
+        coherent = (2 * len(beta_pairs) == m and all(
             abs(b - 1.0) <= COHERENT_BETA_TOL for b in beta_pairs))
-        rows.append((beta_pairs, n_zero, q, coherent))
+        rows.append((beta_pairs, m - 2 * len(beta_pairs), q, coherent))
     return n_skew, s_half, s_inv_half, rows
 
 
@@ -102,24 +96,6 @@ def _normalized_skew(js, jt):
     n = s_inv_half @ jt @ s_inv_half
     n = 0.5 * (n - n.swapaxes(-1, -2))
     return n, s_half, s_inv_half
-
-
-def _pair_betas(sv, m):
-    """The singular values ``sv`` of a normalized antisymmetric matrix come
-    in equal pairs (plus zeros); collapse them to one beta per pair."""
-    sv = np.sort(sv)[::-1]
-    pairs = []
-    i = 0
-    scale = max(sv[0], 1.0) if len(sv) else 1.0
-    while i < len(sv) and sv[i] > BETA_PAIR_TOL * scale:
-        if i + 1 >= len(sv) or abs(sv[i] - sv[i + 1]) > BETA_PAIR_HARD * scale:
-            raise InternalConsistencyError(
-                f"unpaired singular value {sv[i]:.6e} in the antisymmetric "
-                "spectrum; broken antisymmetry upstream")
-        pairs.append(0.5 * (sv[i] + sv[i + 1]))
-        i += 2
-    n_zero = m - 2 * len(pairs)
-    return tuple(pairs), n_zero
 
 
 def _lift_gram(lifts):

@@ -364,28 +364,22 @@ def commuting_sld_estimator(frame, geom):
                 raise ValidationError(
                     f"SLDs do not commute: max |[L_{i},L_{j}]| = {nrm:.3e}")
 
-    # simultaneous eigenbasis via a generic linear combination
-    rng = np.random.default_rng(7)
-    dim = len(frame.rho)
-    for _ in range(16):
-        c = rng.standard_normal(m)
-        mix = sum(ci * li for ci, li in zip(c, slds))
-        mix = mix + rng.standard_normal() * frame.rho  # break ties generically
-        _, u = np.linalg.eigh(0.5 * (mix + mix.conj().T))
-        diag_ok = all(
-            np.max(np.abs(u.conj().T @ l @ u
-                          - np.diag(np.diag(u.conj().T @ l @ u))))
-            <= 1e-6 * max(1.0, np.max(np.abs(l))) for l in slds)
-        if diag_ok:
-            break
-    else:
-        raise InternalConsistencyError("simultaneous diagonalization failed")
+    # commuting Hermitian matrices: the eigenbasis of a generic combination
+    # diagonalizes each of them
+    c = np.random.default_rng(7).standard_normal(m)
+    _, u = np.linalg.eigh(sum(ci * li for ci, li in zip(c, slds)))
+    for l in slds:
+        d = u.conj().T @ l @ u
+        if (np.max(np.abs(d - np.diag(np.diag(d))))
+                > 1e-6 * max(1.0, np.max(np.abs(l)))):
+            raise InternalConsistencyError(
+                "simultaneous diagonalization failed")
 
     # outcome w: |u_w><u_w| announcing theta + J^{S-1} (<u_w|L_i|u_w>)_i
     lam = np.einsum("aw,iab,bw->wi", u.conj(), np.array(slds), u).real
     pvm = PvmEstimator(projectors=u.T[:, :, None] * u.T.conj()[:, None, :],
                        estimates=frame.theta + lam @ np.linalg.inv(geom.JS).T,
-                       ambient_dim=dim)
+                       ambient_dim=len(u))
     pvm.validate()
     return pvm
 

@@ -257,6 +257,9 @@ class TestErrors:
         "time_energy_nan_t0": ("time-energy", TE_SPEC, None,
                                ["--dt", "0.1", "--n", "5", "--t0", "nan"],
                                "t0"),
+        "rank_one_weight_qmle": ("simulate-qmle", {}, "[[1, 0], [0, 0]]",
+                                 ["--samples", "20", "--trials", "2"],
+                                 "weight"),
         # every trial's refits reach the Fock truncation's leaking region
         "simulate_all_trials_excluded": ("simulate-qmle", {
             "kind": "pm_shift", "params": {"n": 0}, "trunc_dim": 32,

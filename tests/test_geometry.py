@@ -77,6 +77,50 @@ class TestInfoGeometry:
             InfoGeometry(np.eye(2), skew2(1.0 + 1e-6))
 
 
+def _svd_beta_pairs(n_skew):
+    """Reference: the singular values of an antisymmetric N come in equal
+    pairs, one pair per beta, plus zeros."""
+    sv = np.linalg.svd(n_skew, compute_uv=False)
+    live = sv[sv > 1e-8]
+    assert len(live) % 2 == 0
+    assert np.max(np.abs(live[::2] - live[1::2]), initial=0.0) <= 1e-13
+    return live[::2], len(sv) - len(live)
+
+
+class TestBetaSpectrum:
+    """The beta pairs read from eigvalsh(iN) agree with the pairing of N's
+    singular values, on J~ = J^{S1/2} Q K Q^T J^{S1/2} with K in real
+    canonical form (rotation blocks of the drawn betas, then exact zero
+    modes), Q orthogonal and J^S random positive definite."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_svd_pairing(self, m):
+        rng = np.random.default_rng(100 + m)
+        for draw in range(40):
+            k = rng.integers(0, m // 2 + 1)
+            betas = rng.uniform(0.05, 1.0, size=k)
+            if draw % 4 == 1:
+                betas[:] = 1.0     # coherent when 2k = m
+            canon = np.zeros((m, m))
+            for i, b in enumerate(betas):
+                canon[2 * i, 2 * i + 1], canon[2 * i + 1, 2 * i] = -b, b
+            q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+            a = rng.normal(size=(m, m))
+            js = a @ a.T + 0.5 * np.eye(m)
+            w, u = np.linalg.eigh(js)
+            root = (u * np.sqrt(w)) @ u.T
+            geom = InfoGeometry(JS=js, Jtilde=root @ q @ canon @ q.T @ root)
+            ref, n_zero = _svd_beta_pairs(geom.N)
+            assert len(geom.beta_pairs) == k == len(ref)
+            assert geom.n_zero == n_zero == m - 2 * k
+            assert np.max(np.abs(np.array(geom.beta_pairs) - ref),
+                          initial=0.0) <= 1e-13
+            assert np.max(np.abs(np.sort(betas)[::-1] - ref),
+                          initial=0.0) <= 1e-12
+            assert geom.quasi_classical == (k == 0)
+            assert geom.coherent == (2 * k == m and draw % 4 == 1)
+
+
 class TestDetCheck:
     def test_squeezed_true(self):
         geom = geometry_at(zoo_squeezed(trunc_dim=64),

@@ -25,6 +25,7 @@ from qest.measurements import (
 )
 from qest.models import (
     frame_at,
+    load_model_spec,
     sld_solve,
     zoo_canonical,
     zoo_pm_shift,
@@ -244,6 +245,16 @@ RISK_MODELS = {
 }
 
 
+MIXED_ONE_PARAM_SPEC = {
+    "kind": "explicit", "theta": [0.0],
+    "params": {
+        "pure": False,
+        "state": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
+        "tangents": [[[[0.0, 0.0], [0.1, 0.0]], [[0.1, 0.0], [0.0, 0.0]]]],
+    },
+}
+
+
 def _strict_random_weight(m):
     a = np.random.default_rng(11).normal(size=(m, m))
     return a @ a.T + 0.5 * np.eye(m)
@@ -272,6 +283,31 @@ class TestRecomputedRisk:
         assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
 
 
+
+class TestNearPole:
+    """Within about 1e-6 of a spin pole J^S has condition number ~1e12, yet a
+    strictly positive weight gets the full-rank two-parameter optimum: the
+    build is attained, carries C, and its recomputed risk is the bound.
+    (Spin 1/2 sits at 1.01e-6: at 1e-6 its J_M, the reference's classical
+    Fisher matrix, is refused as singular.)"""
+
+    @pytest.mark.parametrize("weight", ["identity", "random"])
+    @pytest.mark.parametrize("s, theta1", [(1.0, 1e-6), (0.5, 1.01e-6)])
+    def test_strict_weight_attained(self, s, theta1, weight):
+        frame = frame_at(zoo_spin_coherent(s, s), np.array([theta1, 0.7]))
+        g = {"identity": np.eye(2), "random": _strict_random_weight(2)}[weight]
+        bound = attainable_bound(info_geometry(frame),
+                                 WeightMatrix.from_matrix(g), True)
+        assert bound.attained == "attained"
+        assert bound.C is not None
+        vectors, basis = optimal_vectors(frame, bound)
+        elements, _ = naimark_compress(construct_pvm_from_vectors(vectors),
+                                       basis)
+        risk, _ = optimal_postprocessing(
+            *outcome_distribution(frame, elements), g)
+        assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
+
+
 class TestCommutingSldEstimator:
     def test_canonical_temperature_estimator(self):
         model = zoo_canonical([0.0, 0.8, 1.7])
@@ -292,6 +328,19 @@ class TestCommutingSldEstimator:
         p, dp = outcome_distribution(frame, pvm.projectors)
         jm, _ = classical_fisher(p, dp)
         assert abs(jm[0, 0] - geom.JS[0, 0]) <= 1e-8
+
+    def test_sld_not_commuting_with_rho(self):
+        # one parameter, L = 0.2 sigma_x off the eigenbasis of
+        # rho = diag(0.7, 0.3): J^S = 0.04, estimates theta -+ 5
+        frame = frame_at(*load_model_spec(MIXED_ONE_PARAM_SPEC))
+        geom = info_geometry(frame)
+        pvm = commuting_sld_estimator(frame, geom)
+        assert sorted(e[0] for e in pvm.estimates) == pytest.approx(
+            [-5.0, 5.0], abs=1e-12)
+        p, dp = outcome_distribution(frame, pvm.projectors)
+        jm, _ = classical_fisher(p, dp)
+        assert abs(jm[0, 0] - geom.JS[0, 0]) <= 1e-12
+        assert abs(geom.JS[0, 0] - 0.04) <= 1e-12
 
     def test_non_commuting_refused(self):
         from conftest import rotation_qubit_model

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qest.cli
 import qest.simulate as simulate
 from qest.bounds import WeightMatrix
 from qest.geometry import info_geometry
@@ -145,6 +146,13 @@ class TestSimulateGqmle:
         with pytest.raises(ValidationError):
             simulate_gqmle(great_circle_model(), np.array([0.5]),
                            WeightMatrix.from_matrix(np.eye(1)), QmleConfig())
+
+    def test_rejects_rank_one_weight(self):
+        # no finite optimal measurement exists to build at each estimate
+        with pytest.raises(ValidationError, match="strictly positive"):
+            simulate_gqmle(zoo_spin_coherent(0.5, 0.5), np.array([1.0, 0.4]),
+                           WeightMatrix.from_matrix(np.diag([1.0, 0.0])),
+                           QmleConfig(n_samples=20, trials=2))
 
 
 def _scalar_log_likelihood_factory(model, elements):
@@ -367,6 +375,20 @@ class TestLockstep:
         cfg = QmleConfig(n_samples=200, trials=10, seed=3, reopt_every=20)
         res = self._compare(model, self.SPIN_THETA, weight, cfg)
         assert [t for t, _ in res.exclusions] == [1, 2, 3, 6, 9]
+
+    def test_csv_labels_the_surviving_trials(self, monkeypatch, capsys):
+        # the model of test_partial_exclusion, through the command line:
+        # each CSV row carries its own trial's index, not its rank
+        model = self._refusing(zoo_spin_coherent(0.5, 0.5, fd_step=0.02),
+                               1.15, 1.2)
+        monkeypatch.setattr(qest.cli, "_load_model",
+                            lambda args: (model, self.SPIN_THETA))
+        assert qest.cli.run([
+            "simulate-qmle", "--model", "refusing.json", "--weight", "js",
+            "--samples", "200", "--trials", "10", "--seed", "3",
+            "--reopt-every", "20", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [0, 4, 5, 7, 8]
 
     def test_partial_exclusion_at_the_leakage_edge(self, monkeypatch):
         # near the n = 0 oscillator's leakage edge in 32 Fock levels one
