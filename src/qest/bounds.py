@@ -188,19 +188,21 @@ def cr_two_param(geom, weight):
     multiplier Lambda is recovered in closed form and the full stationarity
     system is checked as a residual.  The estimation vectors have
     C = V G (G - i Lambda)^{-1}, or C = J^{S-1} on a coherent point, where
-    that matrix is (nearly) singular.  A weight that is not strict (as
-    :meth:`WeightMatrix.from_matrix` decides) is rank-one and gets no C.
+    that matrix is (nearly) singular.  A weight is rank-one, with no C, only
+    when both G and the normalized weight are singular: near a spin pole
+    G = I is strict with a near-singular normalized weight, and G = J^S is
+    not strict with a normalized weight of I.
     """
     if geom.m != 2:
         raise ValidationError("cr_two_param requires a 2-parameter model")
     s_inv = geom.S_inv_half
     g_n = _normalized_weight(s_inv, weight.G)
+    gw = np.linalg.eigvalsh(g_n)
 
-    if not weight.strict:
-        # Tr G V equals the SLD floor Tr G J^{S-1} = Tr g_n along the
-        # achievable half-line; for maximally incompatible pairs no finite
-        # optimizer exists.
-        value = float(np.trace(g_n))
+    if not weight.strict and gw[0] <= SINGULAR_RTOL * max(1.0, gw[-1]):
+        # Tr G V is constant (= g1 * 1) along the achievable half-line; for
+        # maximally incompatible pairs no finite optimizer exists.
+        value = float(gw[-1])
         if value <= 0:
             return BoundResult(cr_value=0.0, method="two_param",
                                note="zero weight")
@@ -254,7 +256,7 @@ def _curve_optimum(g1, g2, beta_signed, coherent):
     """Normalized variances u, v, the value and g1 lambda (lambda the
     Lagrange multiplier) of one point, from the weight's eigenvalues
     g1 >= g2 and the signed beta; the stationarity system is checked as a
-    residual.  The weight is strict: a rank-one one has no finite optimizer."""
+    residual.  The weight is not rank-one: that has no finite optimizer."""
     beta = abs(beta_signed)
     if coherent:
         # classified coherent: use the exact beta = 1 curve (the bisection

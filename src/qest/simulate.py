@@ -224,12 +224,12 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     theta_true = np.asarray(theta_true, dtype=float)
     if model.m != 2 or not model.pure:
         raise ValidationError("simulate_gqmle covers 2-parameter pure models")
-    if not weight.strict:
-        raise ValidationError("simulate_gqmle needs a strictly positive "
-                              "weight: a rank-one one has no optimum")
     frame_true = frame_at(model, theta_true)
     geom_true = info_geometry(frame_true)
     bound_true = cr_two_param(geom_true, weight)
+    if bound_true.C is None:
+        raise ValidationError("simulate_gqmle needs a strictly positive "
+                              "weight: a rank-one one has no optimum")
     lam_min = float(np.linalg.eigvalsh(geom_true.JS)[0])
 
     phi_true = frame_true.phi

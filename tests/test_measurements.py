@@ -283,13 +283,12 @@ class TestRecomputedRisk:
         assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
 
 
-
 class TestNearPole:
-    """Within about 1e-6 of a spin pole J^S has condition number ~1e12, yet a
-    strictly positive weight gets the full-rank two-parameter optimum: the
-    build is attained, carries C, and its recomputed risk is the bound.
-    (Spin 1/2 sits at 1.01e-6: at 1e-6 its J_M, the reference's classical
-    Fisher matrix, is refused as singular.)"""
+    """Within about 1e-6 of a spin pole J^S has condition number ~1e12, yet
+    both a strictly positive weight and G = J^S get the full-rank
+    two-parameter optimum: the build is attained, carries C, and its
+    recomputed risk is the bound.  (Spin 1/2 sits at 1.01e-6: at 1e-6 its
+    J_M, the reference's classical Fisher matrix, is refused as singular.)"""
 
     @pytest.mark.parametrize("weight", ["identity", "random"])
     @pytest.mark.parametrize("s, theta1", [(1.0, 1e-6), (0.5, 1.01e-6)])
@@ -305,6 +304,30 @@ class TestNearPole:
                                        basis)
         risk, _ = optimal_postprocessing(
             *outcome_distribution(frame, elements), g)
+        assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
+
+    @pytest.mark.parametrize("s, m_z", [(1.0, 1.0), (0.5, 0.5), (1.5, 0.5)])
+    def test_js_weight_attained(self, s, m_z):
+        # G = J^S is not strict here, but its normalized weight is I; the
+        # value is 4 / (1 + sqrt(1 - beta^2)), 4 on a coherent point.  The
+        # built J_M is as ill-conditioned as J^S, past what
+        # optimal_postprocessing accepts, so Tr G J_M^{-1} is solved directly
+        frame = frame_at(zoo_spin_coherent(s, m_z), np.array([1e-6, 0.7]))
+        geom = info_geometry(frame)
+        weight = WeightMatrix.from_matrix(geom.JS)
+        assert not weight.strict
+        bound = attainable_bound(geom, weight, True)
+        assert bound.attained == "attained"
+        assert bound.C is not None
+        assert geom.coherent == (m_z == s)
+        beta = 1.0 if geom.coherent else geom.beta_pairs[0]
+        assert bound.cr_value == pytest.approx(
+            4.0 / (1.0 + np.sqrt(1.0 - beta**2)), rel=1e-8)
+        vectors, basis = optimal_vectors(frame, bound)
+        elements, _ = naimark_compress(construct_pvm_from_vectors(vectors),
+                                       basis)
+        jm, _ = classical_fisher(*outcome_distribution(frame, elements))
+        risk = np.trace(np.linalg.solve(jm, geom.JS))
         assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
 
 

@@ -154,6 +154,18 @@ class TestSimulateGqmle:
                            WeightMatrix.from_matrix(np.diag([1.0, 0.0])),
                            QmleConfig(n_samples=20, trials=2))
 
+    def test_accepts_js_weight_near_pole(self):
+        # G = J^S is not strict within ~1e-6 of a pole, but its normalized
+        # weight is I: the two-parameter optimum exists and is measured
+        model, theta = zoo_spin_coherent(1.0, 1.0), np.array([1e-6, 0.7])
+        weight = WeightMatrix.from_matrix(
+            info_geometry(frame_at(model, theta)).JS)
+        assert not weight.strict
+        res = simulate_gqmle(model, theta, weight,
+                             QmleConfig(n_samples=20, trials=2))
+        assert res.cr_value == pytest.approx(4.0, rel=1e-12)
+        assert len(res.theta_hats) + res.excluded_trials == 2
+
 
 def _scalar_log_likelihood_factory(model, elements):
     """Reference: one state and one contraction per point."""
