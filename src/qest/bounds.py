@@ -298,17 +298,23 @@ def boundary_curve(beta, samples=100, x_range=None):
     if x_range is not None and not (np.isfinite(x_range) and x_range > 0):
         raise ValidationError(f"x_range must be finite and > 0, got {x_range}")
     c = np.sqrt(max(0.0, 1.0 - beta * beta))
+    if x_range is None:
+        x_max = 4.0 if c < 1e-12 else beta**2 / (1.0 - beta**2)
+    else:
+        x_max = float(x_range)
+    # the samples span 2 x_max, which overflows above half the largest float
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(-x_max, x_max, samples)
+    if not np.isfinite(xs).all():
+        raise ValidationError(
+            f"x_range must be at most {float(np.finfo(float).max) / 2!r} for "
+            f"the samples to stay finite, got {x_range}")
 
     if beta == 0.0:
         rows = [(0.0, 1.0, "curve") for _ in range(samples)]
         rows.append((0.0, 1.0, "line_plus"))
         rows.append((0.0, 1.0, "line_minus"))
         return rows
-
-    if x_range is None:
-        x_max = 4.0 if c < 1e-12 else beta**2 / (1.0 - beta**2)
-    else:
-        x_max = float(x_range)
 
     def z_of(x):
         if c < 1e-12:
@@ -333,7 +339,6 @@ def boundary_curve(beta, samples=100, x_range=None):
                 hi = mid
         return 0.5 * (lo + hi)
 
-    xs = np.linspace(-x_max, x_max, samples)
     rows = [(float(x), float(z_of(x)), "curve") for x in xs]
     rows.append((float(x_max), float(1.0 + x_max), "line_plus"))
     rows.append((float(-x_max), float(1.0 + x_max), "line_minus"))

@@ -394,10 +394,21 @@ def naimark_compress(pvm, embedding):
     stack, compressed in one product, ending with a remainder element that
     absorbs the orthogonal complement when one is needed, so the elements
     sum to the base identity.
+
+    Each element is reported only to the precision it is computed at: every
+    real or imaginary part below one ulp of the element's largest entry,
+    eps * max_ab |M_k[a, b]|, is set to +0.0.  Adding such a part to that
+    entry changes nothing, and the parts cleared come in Hermitian pairs of
+    equal magnitude, so each element stays exactly Hermitian.
+    :func:`_naimark_stack`, whose elements are never printed, keeps them.
     """
     elements, has_rem = _naimark_stack(pvm.projectors[None],
                                        np.asarray(embedding)[None])
-    return elements[0], has_rem
+    elements = elements[0]
+    ulp = np.finfo(float).eps * np.abs(elements).max(axis=(1, 2))
+    parts = elements.view(float)
+    parts[np.abs(parts) < ulp[:, None, None]] = 0.0
+    return elements, has_rem
 
 
 def _naimark_stack(projectors, embedding):

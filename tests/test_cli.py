@@ -145,6 +145,15 @@ class TestTimeEnergy:
         assert abs(report["j_mms"] - report["js"]) <= 1e-8
         assert abs(report["w"] - np.sin(1.3 * 0.3 / 2) ** 2) <= 1e-12
 
+    def test_huge_dt_is_quiet(self, te_spec):
+        # the quadratic approximation overflows to inf; w_ratio's limit is 0.
+        # A fresh process, so that a numpy warning would reach stderr
+        rc, out, err = _cold_run(["time-energy", "--model", te_spec,
+                                  "--dt", "1e308", "--n", "10",
+                                  "--format", "json"])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["w_ratio"] == 0.0
+
 
 class TestWeightFile:
     def test_whitespace_matrix_matches_json(self, spin_spec, tmp_path,
@@ -283,7 +292,7 @@ class TestErrors:
         assert field in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("x_range", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("x_range", ["nan", "inf", "0", "-1", "1e308"])
     def test_bad_x_range_exits_2(self, x_range, capsys):
         assert run(["boundary", "--beta", "0.6", "--samples", "5",
                     "--x-range", x_range]) == 2

@@ -22,6 +22,7 @@ from qest.measurements import (
     optimal_vectors,
     outcome_distribution,
     _householder_orthogonal,
+    _naimark_stack,
 )
 from qest.models import (
     frame_at,
@@ -423,6 +424,42 @@ class TestNaimark:
         assert not has_rem
         for e, proj in zip(elements, projectors):
             assert np.max(np.abs(e - proj)) <= 1e-12
+
+    @staticmethod
+    def _reported_and_stacked(model, theta):
+        """The elements naimark_compress reports and those _naimark_stack
+        computes for the same G = I build, with its frame and bound."""
+        frame = frame_at(model, np.array(theta))
+        bound = attainable_bound(info_geometry(frame),
+                                 WeightMatrix.from_matrix(np.eye(2)), True)
+        vectors, basis = optimal_vectors(frame, bound)
+        pvm = construct_pvm_from_vectors(vectors)
+        elements, _ = naimark_compress(pvm, basis)
+        stacked = _naimark_stack(pvm.projectors[None], basis[None])[0][0]
+        return frame, bound, elements, stacked
+
+    def test_sub_ulp_parts_reported_as_zero(self):
+        # above Fock level ~16 the 128-level pm_shift elements are round-off
+        frame, bound, elements, stacked = self._reported_and_stacked(
+            zoo_pm_shift(1, trunc_dim=128), [0.2, -0.1])
+        ulp = np.finfo(float).eps * np.abs(elements).max(axis=(1, 2))
+        ulp = ulp[:, None, None, None]
+        parts = np.stack([elements.real, elements.imag], axis=-1)
+        raw = np.stack([stacked.real, stacked.imag], axis=-1)
+        assert np.all(np.abs(parts - raw) <= ulp)
+        assert np.all((parts == 0.0) | (np.abs(parts) >= ulp))
+        assert np.count_nonzero(parts) < np.count_nonzero(raw) // 4
+        assert np.array_equal(elements, elements.conj().swapaxes(1, 2))
+        total = elements.sum(axis=0)
+        assert np.max(np.abs(total - np.eye(len(total)))) <= 1e-12
+        risk, _ = optimal_postprocessing(
+            *outcome_distribution(frame, elements), np.eye(2))
+        assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
+
+    def test_no_sub_ulp_parts_bit_for_bit(self):
+        _, _, elements, stacked = self._reported_and_stacked(
+            zoo_spin_coherent(1.5, 0.5), [1.0, 0.5])
+        assert elements.tobytes() == stacked.tobytes()
 
 
 def _validate_loop(projectors, dim):
