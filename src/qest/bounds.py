@@ -7,6 +7,7 @@ direct-sum additivity over informationally independent blocks.
 :func:`attainable_bound` picks the closed form that applies at a point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,48 +115,37 @@ def attainable_bound(geom, weight, pure):
     return None
 
 
-def _curve_t(s, beta):
-    """Second normalized coordinate on the constraint curve
-    sqrt(u-1) + sqrt(v-1) = beta sqrt(uv), rational in s = sqrt(u-1):
-    t = (beta - c s) / (c + beta s) with c = sqrt(1 - beta^2)."""
-    c = np.sqrt(max(0.0, 1.0 - beta * beta))
-    return (beta - c * s) / (c + beta * s)
-
-
-def _minimize_on_curve(g1, g2, beta):
-    """Minimize g1 (1+s^2) + g2 (1+t(s)^2) over the constraint curve.
-
-    Stationarity f'(s) = 2 g1 s - 2 g2 t / (c + beta s)^2 has a single sign
-    change on the admissible s-interval; solve it by bisection.
-    Returns (u, v, value).
-    """
-    if beta <= 1e-14:
-        return 1.0, 1.0, g1 + g2
-    c = np.sqrt(max(0.0, 1.0 - beta * beta))
-
-    def fprime(s):
-        t = _curve_t(s, beta)
-        return 2.0 * g1 * s - 2.0 * g2 * t / (c + beta * s) ** 2
-
-    if c < 1e-14:
-        # beta = 1: curve is (u-1)(v-1) = 1, minimum in closed form
-        s2 = np.sqrt(g2 / g1)
-        u, v = 1.0 + s2, 1.0 + 1.0 / s2
-        return u, v, g1 * u + g2 * v
-
-    lo, hi = 0.0, beta / c
-    flo, fhi = fprime(lo), fprime(hi)
-    if not (flo <= 0.0 <= fhi):
-        raise InternalConsistencyError(
-            f"stationarity bracket failed: f'({lo})={flo}, f'({hi})={fhi}")
-    while hi - lo > BISECTION_TOL * max(1.0, hi):
+def _bisect(f, lo, hi):
+    """Root of f, increasing on [lo, hi] with f(lo) <= 0 <= f(hi), to the
+    absolute tolerance BISECTION_TOL."""
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if fprime(mid) <= 0.0:
+        if f(mid) <= 0.0:
             lo = mid
         else:
             hi = mid
-    s = 0.5 * (lo + hi)
-    t = _curve_t(s, beta)
+    return 0.5 * (lo + hi)
+
+
+def _minimize_on_curve(g1, g2, beta):
+    """Minimize g1 u + g2 v over the constraint curve
+    sqrt(u-1) + sqrt(v-1) = beta sqrt(uv).
+
+    With u = sec^2 a, v = sec^2 b and beta = sin gamma the curve is
+    sin(a + b - gamma) = 0, the segment a + b = gamma with a in [0, gamma].
+    Stationarity there is h(a) = g1 sin a cos^3 b - g2 sin b cos^3 a = 0,
+    and h increases from -g2 beta to g1 beta; solve it by bisection.
+    Returns (u, v, value).
+    """
+    gamma = math.asin(min(beta, 1.0))
+
+    def h(a):
+        b = gamma - a
+        return (g1 * math.sin(a) * math.cos(b) ** 3
+                - g2 * math.sin(b) * math.cos(a) ** 3)
+
+    a = _bisect(h, 0.0, gamma)
+    s, t = math.tan(a), math.tan(gamma - a)
     u, v = 1.0 + s * s, 1.0 + t * t
     return u, v, g1 * u + g2 * v
 
@@ -257,13 +247,15 @@ def _curve_optimum(g1, g2, beta_signed, coherent):
     Lagrange multiplier) of one point, from the weight's eigenvalues
     g1 >= g2 and the signed beta; the stationarity system is checked as a
     residual.  The weight is not rank-one: that has no finite optimizer."""
-    beta = abs(beta_signed)
     if coherent:
-        # classified coherent: use the exact beta = 1 curve (the bisection
-        # bracket degenerates as beta -> 1 and loses accuracy)
+        # classified coherent: the exact beta = 1 curve (u-1)(v-1) = 1, with
+        # its minimum in closed form
         beta_signed = np.copysign(1.0, beta_signed) if beta_signed else 1.0
-        beta = 1.0
-    u, v, value = _minimize_on_curve(g1, g2, beta)
+        s2 = math.sqrt(g2 / g1)
+        u, v = 1.0 + s2, 1.0 + 1.0 / s2
+        value = g1 * u + g2 * v
+    else:
+        u, v, value = _minimize_on_curve(g1, g2, abs(beta_signed))
 
     # Lagrange multiplier and stationarity residuals, in the normalized
     # rotated frame with the weight scaled to diag(1, gr):
@@ -286,9 +278,10 @@ def boundary_curve(beta, samples=100, x_range=None):
     Returns a list of rows ``(x, z, branch)`` with branch "curve" for the
     `samples` boundary points plus one "line_plus" / "line_minus" row each
     marking the half-lines z = 1 +- x that continue the boundary outward.
-    The curved portion solves the stationary-boundary equation by bisection;
-    beyond its reach the boundary continues along z = 1 + |x| (the curve
-    meets the half-lines tangentially).
+    The curved portion is the constraint curve of :func:`_minimize_on_curve`,
+    solved at each x by the same bisection; beyond its reach the boundary
+    continues along z = 1 + |x| (the curve meets the half-lines
+    tangentially).
     """
     if not (0.0 <= beta <= 1.0 + 1e-12):
         raise ValidationError(f"beta must be in [0, 1], got {beta}")
@@ -297,9 +290,8 @@ def boundary_curve(beta, samples=100, x_range=None):
         raise ValidationError("samples must be >= 2")
     if x_range is not None and not (np.isfinite(x_range) and x_range > 0):
         raise ValidationError(f"x_range must be finite and > 0, got {x_range}")
-    c = np.sqrt(max(0.0, 1.0 - beta * beta))
     if x_range is None:
-        x_max = 4.0 if c < 1e-12 else beta**2 / (1.0 - beta**2)
+        x_max = 4.0 if beta == 1.0 else beta**2 / (1.0 - beta**2)
     else:
         x_max = float(x_range)
     # the samples span 2 x_max, which overflows above half the largest float
@@ -316,28 +308,21 @@ def boundary_curve(beta, samples=100, x_range=None):
         rows.append((0.0, 1.0, "line_minus"))
         return rows
 
+    # u = sec^2 a and v = sec^2 (gamma - a) with beta = sin gamma, as in
+    # _minimize_on_curve: x = (tan^2 a - tan^2 (gamma - a)) / 2 spans
+    # +-tan^2 gamma / 2, and z = 1 + |x| + min(tan a, tan(gamma - a))^2.
+    # At beta = 1 the hyperbola's 1 + x^2 rounds to x^2 from |x| = 2^27 on.
+    gamma = math.asin(beta)
+    reach = 2.0**27 if beta == 1.0 else 0.5 * math.tan(gamma) ** 2
+
     def z_of(x):
-        if c < 1e-12:
-            return 1.0 + np.sqrt(1.0 + x * x)  # hyperbola (z-1)^2 - x^2 = 1
-
-        def f(z):
-            sp = np.sqrt(max(0.0, z + x - 1.0))
-            sm = np.sqrt(max(0.0, z - x - 1.0))
-            return beta * sp * sm + c * (sp + sm) - beta
-
-        lo = 1.0 + abs(x)
-        if f(lo) >= -1e-15:
-            return lo  # outside the curved reach: boundary is the half-line
-        hi = lo + 2.0
-        while f(hi) < 0.0:
-            hi += 2.0
-        while hi - lo > BISECTION_TOL * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        if abs(x) >= reach:
+            return 1.0 + abs(x)  # the half-line, or the hyperbola to the bit
+        if beta == 1.0:
+            return 1.0 + math.sqrt(1.0 + x * x)  # hyperbola (z-1)^2 - x^2 = 1
+        a = _bisect(lambda a: math.tan(a) ** 2 - math.tan(gamma - a) ** 2
+                    - 2.0 * x, 0.0, gamma)
+        return 1.0 + abs(x) + min(math.tan(a), math.tan(gamma - a)) ** 2
 
     rows = [(float(x), float(z_of(x)), "curve") for x in xs]
     rows.append((float(x_max), float(1.0 + x_max), "line_plus"))

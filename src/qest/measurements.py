@@ -168,12 +168,8 @@ def _householder_orthogonal(k):
     e1 = np.zeros(k)
     e1[0] = 1.0
     w = e1 - c
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        o = np.eye(k)
-    else:
-        w /= nw
-        o = np.eye(k) - 2.0 * np.outer(w, w)
+    w /= np.linalg.norm(w)
+    o = np.eye(k) - 2.0 * np.outer(w, w)
     o.flags.writeable = False
     return o
 

@@ -517,15 +517,22 @@ def explicit_model(state, tangent_vectors, hbar=1.0, pure=True):
 
     Returns the same state and tangents at every theta, so it is only
     meaningful at the one point they were taken at; used by the CLI
-    "explicit" model-spec kind and by tests.
+    "explicit" model-spec kind and by tests.  It takes at least one
+    tangent, each of the state's shape (d for a pure state, d x d mixed).
     """
-    tvs = [np.asarray(t, dtype=complex) for t in tangent_vectors]
+    tvs =[np.asarray(t, dtype=complex) for t in tangent_vectors]
+    if not tvs:
+        raise ValidationError("explicit model needs at least one tangent")
     if not all(np.all(np.isfinite(a))
                for a in [np.asarray(state, dtype=complex)] + tvs):
         raise ValidationError("explicit model state and tangents must be "
                               "finite")
     st = (pure_state(state) if pure
           else mixed_state(state, require_faithful=True))
+    shape = st.vector.shape if pure else st.density.shape
+    if any(t.shape != shape for t in tvs):
+        raise ValidationError("explicit model tangents must each have the "
+                              f"state's shape {shape}")
     return ParametricModel(kind="explicit", dim=st.dim, m=len(tvs),
                            state_at=lambda th: st, hbar=hbar,
                            tangent_at=lambda th: tvs, pure=pure)
@@ -537,7 +544,7 @@ def explicit_model(state, tangent_vectors, hbar=1.0, pure=True):
 
 def _complex_array(pairs, name):
     arr = np.asarray(pairs, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim == 0 or arr.shape[-1] != 2 or not np.all(np.isfinite(arr)):
         raise ValidationError(f"model spec param {name!r} must hold finite "
                               "[re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

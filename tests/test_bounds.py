@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import synthetic_lift_model
 from qest.bounds import (
     WeightMatrix,
+    _curve_optimum,
     attainable_bound,
     boundary_curve,
     cr_coherent,
@@ -192,6 +195,60 @@ class TestBoundaryCurve:
     def test_invalid_beta(self):
         with pytest.raises(ValidationError):
             boundary_curve(1.5)
+
+
+class TestCurveAgainstRationalForm:
+    """The angle bisection against scipy's brentq on the constraint curve
+    sqrt(u-1) + sqrt(v-1) = beta sqrt(uv) in its rational form: with
+    s = sqrt(u-1) and c = sqrt(1 - beta^2), t = sqrt(v-1) =
+    (beta - c s) / (c + beta s)."""
+
+    RTOL = 4 * np.finfo(float).eps
+
+    def test_curve_optimum(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = np.random.default_rng(11)
+        betas = np.concatenate([[0.01, 0.5, 1.0 - 1e-6],
+                                rng.uniform(0.01, 1.0 - 1e-6, 60)])
+        for beta in betas.tolist():
+            c = math.sqrt(1.0 - beta * beta)
+
+            def t(s):
+                return (beta - c * s) / (c + beta * s)
+
+            for _ in range(8):
+                g1 = 10.0 ** rng.uniform(-2.0, 2.0)
+                g2 = g1 * 10.0 ** rng.uniform(-8.0, 0.0)
+                # stationarity of g1 (1 + s^2) + g2 (1 + t(s)^2), halved
+                s = brentq(lambda s: g1 * s - g2 * t(s) / (c + beta * s) ** 2,
+                           0.0, beta / c, xtol=1e-300, rtol=self.RTOL)
+                u, v = _curve_optimum(g1, g2, beta, False)[:2]
+                assert abs(u - (1.0 + s * s)) <= 1e-12 * u
+                assert abs(v - (1.0 + t(s) ** 2)) <= 1e-12 * v
+
+    def test_boundary_rows(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        for beta in (0.01, 0.3, 0.6, 0.8, 0.95, 0.999, 1.0 - 1e-6):
+            c = math.sqrt(1.0 - beta * beta)
+            reach = math.tan(math.asin(beta)) ** 2 / 2.0
+            for samples, x_range in ((101, None), (40, 3.0 * reach)):
+                for x, z, branch in boundary_curve(beta, samples, x_range):
+                    if branch != "curve":
+                        continue
+                    lo = 1.0 + abs(x)
+                    if abs(x) >= reach:
+                        assert z == lo
+                        continue
+
+                    def f(z):
+                        sp = math.sqrt(max(0.0, z + x - 1.0))
+                        sm = math.sqrt(max(0.0, z - x - 1.0))
+                        return beta * sp * sm + c * (sp + sm) - beta
+
+                    # an ulp inside the reach the root is lo to round-off
+                    z_ref = lo if f(lo) >= 0.0 else brentq(
+                        f, lo, lo + 1.0, xtol=1e-300, rtol=self.RTOL)
+                    assert abs(z - z_ref) <= 1e-12 * z_ref
 
 
 class TestCrCoherent:

@@ -107,6 +107,26 @@ class TestBoundary:
         assert abs(x) <= 1e-12
         assert abs(2 * z - 4.0 / (1.0 + 0.8)) <= 1e-12
 
+    @pytest.mark.parametrize("extra", [
+        ["--beta", "1", "--samples", "3", "--x-range", "1e300"],
+        ["--beta", "0.999999", "--samples", "50"]],
+        ids=["beta_1_x_range_1e300", "beta_0.999999"])
+    def test_json_is_strict_and_quiet(self, extra):
+        rc, out, err = _cold_run(["boundary", *extra, "--format", "json"])
+        assert rc == 0 and err == ""
+        zs = [r["z"] for r in _strict_json(out)["rows"]]
+        assert np.isfinite(zs).all() and min(zs) >= 1.0
+        if "1e300" in extra:
+            # from |x| = 2^27 on, the hyperbola's z is 1 + |x| to the bit
+            assert zs == [1e300, 2.0, 1e300, 1e300, 1e300]
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
 
 class TestMeasurement:
     def test_risk_matches_bound(self, spin_spec, capsys):
@@ -291,6 +311,46 @@ class TestErrors:
         assert err.startswith("error:")
         assert field in err
         assert "Traceback" not in err
+
+    # (spec, text in the message): model specs whose arrays have the wrong
+    # shape, each refused where it enters the program
+    MIXED_RHO = [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]]
+    MALFORMED_SPECS = {
+        "explicit_no_tangents": ({"kind": "explicit", "theta": [],
+                                  "params": {"state": [[1.0, 0.0],
+                                                       [0.0, 0.0]],
+                                             "tangents": []}},
+                                 "at least one tangent"),
+        "explicit_tangent_nested": (_explicit(tangent=[[[0.0, 0.0]]]),
+                                    "shape"),
+        "explicit_tangent_short": (_explicit(tangent=[[0.0, 0.0]]), "shape"),
+        "explicit_mixed_tangent_not_square": ({
+            "kind": "explicit", "theta": [0.0],
+            "params": {"pure": False, "state": MIXED_RHO, "tangents": [
+                [[[0.0, 0.0], [0.1, 0.0], [0.0, 0.0]],
+                 [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]]]]}}, "shape"),
+        "explicit_mixed_tangent_vector": ({
+            "kind": "explicit", "theta": [0.0],
+            "params": {"pure": False, "state": MIXED_RHO,
+                       "tangents": [[[0.0, 0.0], [0.1, 0.0]]]}}, "shape"),
+        "explicit_empty_state": (_explicit(state=[]), "'state'"),
+        "explicit_state_short_pairs": (_explicit(state=[[1.0], [0.0]]),
+                                       "'state'"),
+        "explicit_state_long_pairs": (_explicit(
+            state=[[1.0, 0.0, 5.0], [0.0, 0.0, 5.0]]), "'state'"),
+        "time_evolution_psi0_short_pairs": (_time_evolution(
+            psi0=[[1.0], [0.0]]), "'psi0'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_exits_2(self, case, tmp_path, capsys):
+        spec, field = self.MALFORMED_SPECS[case]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(["geometry", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err
 
     @pytest.mark.parametrize("x_range", ["nan", "inf", "0", "-1", "1e308"])
     def test_bad_x_range_exits_2(self, x_range, capsys):

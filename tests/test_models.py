@@ -545,6 +545,17 @@ class TestExplicitAndSpec:
         frame = frame_at(model, np.array([0.0]))
         assert np.max(np.abs(frame.lifts[0] - 2.0 * tangent)) <= 1e-10
 
+    def test_pure_tangent_stack_reads_tangent_at(self):
+        phi = np.array([0.6, 0.8j, 0.0])
+        tvs = [np.array([0.0, 0.0, 0.5]), np.array([0.0, 0.3j, 0.1])]
+        model = explicit_model(phi, tvs)
+        thetas = np.array([[0.0, 0.0], [0.4, -0.2]])
+        phis, dphis = models._pure_tangent_stack(model, thetas)
+        assert phis.shape == (2, 3) and dphis.shape == (2, 2, 3)
+        for row in range(2):
+            assert np.array_equal(phis[row], phi)
+            assert np.array_equal(dphis[row], np.array(tvs))
+
     def test_explicit_model_rejects_non_finite(self):
         phi = np.array([1.0, 0.0, 0.0], dtype=complex)
         tangent = np.array([0.0, 0.5, 0.0], dtype=complex)
