@@ -10,6 +10,7 @@ internal-consistency error.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -51,8 +52,46 @@ def _real_rows(a):
     return np.asarray(a, dtype=float).tolist()
 
 
-def _complex_rows(a):
-    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+@functools.lru_cache(maxsize=8)
+def _json_layout(shape):
+    """The compact JSON text of a ``shape`` array as a list with a None slot
+    for each number.  The first number follows the opening brackets; each
+    later one follows ``"]"*t + "," + "["*t``, where t counts its trailing
+    indices that are 0."""
+    t = np.zeros(shape, dtype=np.intp)
+    for k in range(1, len(shape)):
+        t.reshape(math.prod(shape[:k]), -1)[:, 0] += 1
+    table = np.array(["]" * k + "," + "[" * k for k in range(len(shape))],
+                     dtype=object)
+    layout = [None] * (2 * t.size + 1)
+    layout[::2] = table[t.ravel()].tolist() + ["]" * len(shape)]
+    layout[0] = "[" * len(shape)
+    return layout
+
+
+def _json_floats(a):
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` for a float array,
+    formatting each distinct nonzero magnitude once: a negative number is
+    "-" and its magnitude's text, a zero "0.0" or "-0.0"."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 0 or a.size == 0:
+        return json.dumps(a.tolist(), separators=(",", ":"))
+    flat = a.ravel()
+    nz = flat.nonzero()[0]
+    nz = nz[np.abs(flat[nz]).argsort()]     # nonzero parts by magnitude
+    mags = np.abs(flat[nz])
+    first = np.ones(mags.size, dtype=bool)
+    first[1:] = mags[1:] != mags[:-1]
+    distinct = json.dumps(mags[first].tolist(),
+                          separators=(",", ":"))[1:-1].split(",")
+    texts = np.array(["0.0", "-0.0"] + distinct + ["-" + t for t in distinct],
+                     dtype=object)
+    # each part's index into texts: zeros by sign bit, then magnitudes
+    code = np.signbit(flat).astype(np.intp)
+    code[nz] = 1 + first.cumsum() + len(distinct) * (flat[nz] < 0)
+    out = _json_layout(a.shape).copy()
+    out[1::2] = texts[code].tolist()
+    return "".join(out)
 
 
 def _emit(text, out_path):
@@ -64,8 +103,16 @@ def _emit(text, out_path):
 
 
 def _emit_json(report, out_path):
-    _emit(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
-          out_path)
+    """One compact line with sorted keys.  A float array at ``elements`` is
+    written by ``_json_floats`` and spliced in."""
+    elements = report.get("elements")
+    if elements is None:
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    else:
+        text = json.dumps({**report, "elements": None}, sort_keys=True,
+                          separators=(",", ":")).replace(
+            '"elements":null', '"elements":' + _json_floats(elements), 1)
+    _emit(text + "\n", out_path)
 
 
 def _emit_report(report, fmt, out_path, text_lines):
@@ -249,7 +296,8 @@ def _cmd_measurement(args):
         "covariance": _real_rows(cov),
     }
     if args.format == "json":
-        report["elements"] = [_complex_rows(e) for e in elements]
+        pairs = np.ascontiguousarray(elements, dtype=complex)
+        report["elements"] = pairs.view(float).reshape(*pairs.shape, 2)
     lines = [f"method: {report['method']}",
              f"outcomes: {report['n_outcomes']}",
              f"risk Tr G V: {_sig(report['risk'])}",

@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qest.bounds import WeightMatrix, attainable_bound
-from qest.cli import _complex_rows, _matrix_lines, _real_rows, run
+from qest.cli import _json_floats, _matrix_lines, _real_rows, run
 from qest.geometry import info_geometry
 from qest.measurements import (
     construct_pvm_from_vectors,
@@ -388,9 +390,22 @@ class TestJsonOutput:
         ["simulate-qmle", "--model", "{spin}", "--weight", "js",
          "--samples", "20", "--trials", "2", "--reopt-every", "10"],
         ["time-energy", "--model", "{te}", "--dt", "0.3", "--n", "50"],
+        # the large element stacks, whose text _json_floats writes
+        pytest.param(["measurement", "--model", "{pm_shift}", "--weight",
+                      "identity"], id="measurement_pm_shift"),
+        pytest.param(["measurement", "--model", "{squeezed}", "--weight",
+                      "identity"], id="measurement_squeezed"),
     ], ids=lambda argv: argv[0])
-    def test_one_line(self, argv, spin_spec, te_spec, capsys):
+    def test_one_line(self, argv, spin_spec, te_spec, tmp_path, capsys):
         paths = {"{spin}": spin_spec, "{te}": te_spec}
+        if "{pm_shift}" in argv:
+            paths["{pm_shift}"] = write_spec(tmp_path, "pm_shift", {
+                "kind": "pm_shift", "trunc_dim": 128, "params": {"n": 1},
+                "theta": [0.2, -0.1]})
+        if "{squeezed}" in argv:
+            paths["{squeezed}"] = write_spec(tmp_path, "squeezed", {
+                "kind": "squeezed", "trunc_dim": 64,
+                "theta": [0.1, -0.05, 0.3, 0.2]})
         argv = [paths.get(a, a) for a in argv] + ["--format", "json"]
         assert run(argv) == 0
         out = capsys.readouterr().out
@@ -437,15 +452,35 @@ class TestJsonOutput:
         z = np.empty((4, 4), dtype=complex)
         z.real, z.imag = a, rng.normal(size=(4, 4))
         z.imag[0, :3] = tiny, -0.0, -tiny
-        real, pairs = _real_rows(a), _complex_rows(z)
+        real = _real_rows(a)
+        text = _json_floats(np.stack([z.real, z.imag], axis=-1))
+        pairs = [[[float(v.real), float(v.imag)] for v in row] for row in z]
         assert repr(real) == repr([[float(v) for v in row] for row in a])
-        assert repr(pairs) == repr([[[float(v.real), float(v.imag)]
-                                     for v in row] for row in z])
+        assert text == json.dumps(pairs, separators=(",", ":"))
         assert repr(real[0][:3]) == repr([-0.0, tiny, -tiny])
-        assert repr(pairs[0][:3]) == repr([[-0.0, tiny], [tiny, -0.0],
-                                           [-tiny, -tiny]])
-        assert all(type(v) is float for v in real[0] + pairs[0][0])
-        assert repr(json.loads(json.dumps(pairs))) == repr(pairs)
+        assert repr(json.loads(text)[0][:3]) == repr(
+            [[-0.0, tiny], [tiny, -0.0], [-tiny, -tiny]])
+        assert all(type(v) is float for v in real[0])
+        assert repr(json.loads(text)) == repr(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_json_floats_is_json_dumps(self, data):
+        # a few magnitudes, each drawn with either sign, so that one
+        # formatted magnitude serves both signs; -nan prints as NaN
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4,
+                                           min_side=1, max_side=4))
+        pool = data.draw(st.lists(
+            st.sampled_from([0.0, 5e-324, INF, NAN])
+            | st.floats(min_value=1e-300, max_value=1e300),
+            min_size=1, max_size=5))
+        size = int(np.prod(shape))
+        picks = data.draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.booleans()),
+            min_size=size, max_size=size))
+        a = np.array([-v if neg else v for v, neg in picks]).reshape(shape)
+        assert _json_floats(a) == json.dumps(a.tolist(),
+                                             separators=(",", ":"))
 
     def test_out_file_matches_stdout(self, spin_spec, tmp_path, capsys):
         argv = ["measurement", "--model", spin_spec, "--weight", "js",
