@@ -134,18 +134,28 @@ def _minimize_on_curve(g1, g2, beta):
     With u = sec^2 a, v = sec^2 b and beta = sin gamma the curve is
     sin(a + b - gamma) = 0, the segment a + b = gamma with a in [0, gamma].
     Stationarity there is h(a) = g1 sin a cos^3 b - g2 sin b cos^3 a = 0,
-    and h increases from -g2 beta to g1 beta; solve it by bisection.
-    Returns (u, v, value).
+    and h increases from -g2 beta to g1 beta; solve it by bisection and one
+    Newton step, h'(a) = (g1 cos^2 b + g2 cos^2 a)(cos a cos b
+    + 3 sin a sin b).  The sine and cosine of b come from beta and
+    cos gamma = sqrt((1 - beta)(1 + beta)), not from a rounded gamma - a:
+    v = sec^2 b is large where b nears pi/2.  Returns (u, v, value).
     """
-    gamma = math.asin(min(beta, 1.0))
+    beta = min(beta, 1.0)
+    cos_gamma = math.sqrt((1.0 - beta) * (1.0 + beta))
+
+    def trig(a):
+        ca, sa = math.cos(a), math.sin(a)
+        return ca, sa, cos_gamma * ca + beta * sa, beta * ca - cos_gamma * sa
 
     def h(a):
-        b = gamma - a
-        return (g1 * math.sin(a) * math.cos(b) ** 3
-                - g2 * math.sin(b) * math.cos(a) ** 3)
+        ca, sa, cb, sb = trig(a)
+        return g1 * sa * cb ** 3 - g2 * sb * ca ** 3
 
-    a = _bisect(h, 0.0, gamma)
-    s, t = math.tan(a), math.tan(gamma - a)
+    a = _bisect(h, 0.0, math.asin(beta))
+    ca, sa, cb, sb = trig(a)
+    a -= h(a) / ((g1 * cb * cb + g2 * ca * ca) * (ca * cb + 3.0 * sa * sb))
+    ca, sa, cb, sb = trig(a)
+    s, t = sa / ca, sb / cb
     u, v = 1.0 + s * s, 1.0 + t * t
     return u, v, g1 * u + g2 * v
 

@@ -7,6 +7,7 @@ from conftest import synthetic_lift_model
 from qest.bounds import (
     WeightMatrix,
     _curve_optimum,
+    _minimize_on_curve,
     attainable_bound,
     boundary_curve,
     cr_coherent,
@@ -249,6 +250,40 @@ class TestCurveAgainstRationalForm:
                     z_ref = lo if f(lo) >= 0.0 else brentq(
                         f, lo, lo + 1.0, xtol=1e-300, rtol=self.RTOL)
                     assert abs(z - z_ref) <= 1e-12 * z_ref
+
+
+class TestCurveToRoundOff:
+    """u and v of the curve optimum against the angle stationarity solved in
+    extended precision: relative error 1e-14 even where v = sec^2 b is large
+    (beta near 1, g2 << g1)."""
+
+    def test_minimize_on_curve(self):
+        ld = np.longdouble
+        if np.finfo(ld).eps > 1e-18:
+            pytest.skip("np.longdouble is no wider than float64 here")
+        betas, ratios = np.meshgrid([0.5, 0.9, 0.999, 1.0 - 1e-6],
+                                    [1.0, 1e-3, 1e-6, 1.8e-8])
+        beta, g2 = betas.ravel(), ratios.ravel()
+        gamma = np.arcsin(beta.astype(ld))
+        g1, g2l = ld(1), g2.astype(ld)
+
+        def h(a):
+            b = gamma - a
+            return (g1 * np.sin(a) * np.cos(b) ** 3
+                    - g2l * np.sin(b) * np.cos(a) ** 3)
+
+        lo, hi = np.zeros_like(gamma), gamma.copy()
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            low = h(mid) <= 0
+            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+        a = (lo + hi) / 2
+        u_ref = 1 + np.tan(a) ** 2
+        v_ref = 1 + np.tan(gamma - a) ** 2
+        for k in range(beta.size):
+            u, v, _ = _minimize_on_curve(1.0, float(g2[k]), float(beta[k]))
+            assert abs(u - u_ref[k]) <= 1e-14 * u_ref[k], (beta[k], g2[k])
+            assert abs(v - v_ref[k]) <= 1e-14 * v_ref[k], (beta[k], g2[k])
 
 
 class TestCrCoherent:
