@@ -54,8 +54,8 @@ def _real_rows(a):
 
 @functools.lru_cache(maxsize=8)
 def _json_layout(shape):
-    """The compact JSON text of a ``shape`` array as a list with a None slot
-    for each number.  The first number follows the opening brackets; each
+    """The compact JSON text of a ``shape`` array as a tuple with a None
+    slot for each number.  The first number follows the opening brackets; each
     later one follows ``"]"*t + "," + "["*t``, where t counts its trailing
     indices that are 0."""
     t = np.zeros(shape, dtype=np.intp)
@@ -66,7 +66,7 @@ def _json_layout(shape):
     layout = [None] * (2 * t.size + 1)
     layout[::2] = table[t.ravel()].tolist() + ["]" * len(shape)]
     layout[0] = "[" * len(shape)
-    return layout
+    return tuple(layout)
 
 
 def _json_floats(a):
@@ -89,7 +89,7 @@ def _json_floats(a):
     # each part's index into texts: zeros by sign bit, then magnitudes
     code = np.signbit(flat).astype(np.intp)
     code[nz] = 1 + first.cumsum() + len(distinct) * (flat[nz] < 0)
-    out = _json_layout(a.shape).copy()
+    out = list(_json_layout(a.shape))
     out[1::2] = texts[code].tolist()
     return "".join(out)
 
