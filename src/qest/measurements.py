@@ -14,7 +14,6 @@ from .operators import (
     DERIV_FLOOR,
     GRAM_IMAG_RTOL,
     PROB_FLOOR,
-    SINGULAR_RTOL,
     InternalConsistencyError,
     NotRealGramError,
     ValidationError,
@@ -89,48 +88,52 @@ def outcome_distribution(frame, projectors):
     """Probabilities p_k = tr(rho P_k) and derivatives dp_k/dtheta_i.
 
     ``frame`` supplies the state and its tangent data; projectors act on the
-    same space as the frame (no dilation here -- compress first).
+    same space as the frame (no dilation here -- compress first).  Returns
+    p (K,) and dp (m, K).
     """
-    m = frame.m
-    n = len(projectors)
-    p = np.zeros(n)
-    dp = np.zeros((m, n))
+    proj = np.asarray(projectors, dtype=complex)
     if frame.pure:
         phi = frame.phi
-        for k, proj in enumerate(projectors):
-            pk = np.vdot(phi, proj @ phi).real
-            p[k] = max(pk, 0.0) if pk > -PROB_FLOOR else 0.0
-            if pk < -PROB_FLOOR:
-                raise ValidationError(f"negative outcome probability {pk:.3e}")
-            for i, l in enumerate(frame.lifts):
-                dp[i, k] = np.vdot(l, proj @ phi).real
+        p = np.einsum("a,kab,b->k", phi.conj(), proj, phi).real
+        dp = np.einsum("ia,kab,b->ik", np.conj(frame.lifts), proj, phi).real
     else:
         rho = frame.rho
-        drhos = [0.5 * (l @ rho + rho @ l) for l in frame.slds]
-        for k, proj in enumerate(projectors):
-            pk = np.trace(rho @ proj).real
-            p[k] = max(pk, 0.0)
-            for i in range(m):
-                dp[i, k] = np.trace(drhos[i] @ proj).real
-    return p, dp
+        drho = [0.5 * (l @ rho + rho @ l) for l in frame.slds]
+        p = np.einsum("ab,kba->k", rho, proj).real
+        dp = np.einsum("iab,kba->ik", drho, proj).real
+    if (p < -PROB_FLOOR).any():
+        raise ValidationError(f"negative outcome probability {p.min():.3e}")
+    return np.maximum(p, 0.0), dp
 
 
 def classical_fisher(p, dp):
-    """Classical Fisher matrix of an outcome distribution.
-
-    Outcomes with p <= PROB_FLOOR are excluded; if such an outcome still has
-    a first-order probability flow (|dp| > DERIV_FLOOR) the information
-    diverges in that direction and the result carries ``singular=True``.
+    """Classical Fisher matrix of an outcome distribution p (..., K) with
+    derivatives dp (..., m, K), one distribution or a stack.  Outcomes with
+    p <= PROB_FLOOR are excluded; if such an outcome still has a flow
+    |dp| > DERIV_FLOOR the information diverges and ``singular`` is true.
 
     Returns ``(J_M, singular)``.
     """
-    p = np.asarray(p, dtype=float)
-    dp = np.asarray(dp, dtype=float)
     live = p > PROB_FLOOR
-    singular = bool(np.any(~live & (np.max(np.abs(dp), axis=0) > DERIV_FLOOR)))
-    sel = dp[:, live] / np.sqrt(p[live])
-    jm = sel @ sel.T
-    return 0.5 * (jm + jm.T), singular
+    singular = ((np.abs(dp) > DERIV_FLOOR)
+                & ~live[..., None, :]).any(axis=(-2, -1))
+    sel = dp / np.sqrt(np.where(live, p, np.inf))[..., None, :]
+    return sel @ sel.swapaxes(-1, -2), singular
+
+
+def _fisher_risk(p, dp, g):
+    """Tr G J_M^{-1} and J_M^{-1} of one outcome distribution or a stack,
+    for the oracle and :func:`optimal_postprocessing` alike.  The risk is
+    inf where :func:`classical_fisher` is singular, or slogdet of J_M gives
+    sign <= 0 or log det < -60."""
+    jm, bad = classical_fisher(p, dp)
+    sign, logdet = np.linalg.slogdet(jm)
+    bad = bad | (sign <= 0) | (logdet < -60)
+    if bad.any():
+        jm[bad] = np.eye(jm.shape[-1])
+    jm_inv = np.linalg.inv(jm)
+    risk = np.einsum("ij,...ji->...", g, jm_inv)
+    return np.where(bad, np.inf, risk), jm_inv
 
 
 def optimal_postprocessing(p, dp, g):
@@ -140,23 +143,13 @@ def optimal_postprocessing(p, dp, g):
     estimate offset from theta on outcome k: J_M^{-1} score_k.
     Outcomes with p ~ 0 get correction 0.
     """
-    jm, singular = classical_fisher(p, dp)
-    if singular:
-        raise ValidationError(
-            "unbounded information direction: zero-probability outcome with "
-            "nonzero derivative")
-    w = np.linalg.eigvalsh(jm)
-    if w[0] <= SINGULAR_RTOL * max(1.0, w[-1]):
-        raise ValidationError("singular classical Fisher matrix: "
-                              "interval-only result")
-    jm_inv = np.linalg.inv(jm)
-    value = float(np.trace(np.asarray(g) @ jm_inv))
-    corrections = np.zeros((len(p), jm.shape[0]))
-    live = p > PROB_FLOOR
-    scores = np.zeros_like(corrections)
-    scores[live] = (dp[:, live] / p[live]).T
-    corrections[live] = scores[live] @ jm_inv.T
-    return value, corrections
+    p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
+    value, jm_inv = _fisher_risk(p, dp, g)
+    if not np.isfinite(value):
+        raise ValidationError("singular or unbounded classical Fisher "
+                              "matrix: interval-only result")
+    scores = dp / np.where(p > PROB_FLOOR, p, np.inf)   # 0 where p ~ 0
+    return float(value), scores.T @ jm_inv.T
 
 
 @functools.cache
@@ -170,6 +163,10 @@ def _householder_orthogonal(k):
     w = e1 - c
     w /= np.linalg.norm(w)
     o = np.eye(k) - 2.0 * np.outer(w, w)
+    # <b'_kappa | phi> = O[kappa, 0] since b^1 = phi: 1/sqrt(k) each
+    if np.min(np.abs(o[:, 0])) <= 1e-9:
+        raise InternalConsistencyError("orthogonal mix has an outcome with "
+                                       "zero overlap")
     o.flags.writeable = False
     return o
 
@@ -206,9 +203,9 @@ def _pvm_stack(phi, x, theta):
     (T, D), vectors (T, D, m) and points (T, m).  Returns the projectors
     (T, K, D, D), the estimates (T, K, m) and the covariances (T, m, m),
     every row verified.  Row t's basis is phi, then the rows of R^{-T} X^T
-    from the Cholesky factor Re X*X = R^T R.  The stack is refused when
-    any row has Im X*X != 0 (:class:`NotRealGramError`), some
-    <phi|x^i> != 0, linearly dependent x^i, or D < m + 1."""
+    for a Cholesky factor Re X*X = R^T R (applied twice, see below).  The
+    stack is refused when any row has Im X*X != 0 (:class:`NotRealGramError`),
+    some <phi|x^i> != 0, linearly dependent x^i, or D < m + 1."""
     dim, m = x.shape[1:]
     x_adj = x.conj().swapaxes(1, 2)
     gram = x_adj @ x
@@ -221,23 +218,21 @@ def _pvm_stack(phi, x, theta):
         raise ValidationError("estimation vectors not orthogonal to phi")
     if dim < m + 1:
         raise ValidationError("ambient space too small for the construction")
+    # near a spin pole Y = R^{-T} X^T is not orthonormal to round-off; a
+    # second factor Re YY* = R_2^T R_2 gives rows R_2^{-T} Y and R <- R_2 R
     try:
         r_t = np.linalg.cholesky(gram.real)
+        y = np.linalg.solve(r_t, x.swapaxes(1, 2))
+        r2_t = np.linalg.cholesky((y @ y.conj().swapaxes(1, 2)).real)
     except np.linalg.LinAlgError:
         raise ValidationError(
             "estimation vectors are linearly dependent") from None
     # rows of basis are b^1 = phi, b^2, ...; lam[t, i, j]: coefficient of
     # x^i on basis vector j, zero on phi
-    basis = np.concatenate(
-        [phi[:, None], np.linalg.solve(r_t, x.swapaxes(1, 2))], axis=1)
-    lam = np.concatenate([np.zeros((len(x), m, 1)), r_t], axis=2)
+    basis = np.concatenate([phi[:, None], np.linalg.solve(r2_t, y)], axis=1)
+    lam = np.concatenate([np.zeros((len(x), m, 1)), r_t @ r2_t], axis=2)
 
     o = _householder_orthogonal(m + 1)
-    # <b'_kappa | phi> = O[kappa, 0] since b^1 = phi: 1/sqrt(m + 1) each
-    if np.min(np.abs(o[:, 0])) <= 1e-9:
-        raise InternalConsistencyError("orthogonal mix has an outcome with "
-                                       "zero overlap")
-
     bprime = o @ basis                     # rows are b'_kappa
     projectors = bprime[..., :, None] * bprime.conj()[..., None, :]
     est = theta[:, None] + (o @ lam.swapaxes(1, 2)) / o[:, :1]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (DERIV_FLOOR, ORACLE_SLACK, PROB_FLOOR,
-                        InternalConsistencyError, ValidationError)
+from .operators import ORACLE_SLACK, InternalConsistencyError, ValidationError
+from .measurements import _fisher_risk
 from .models import _embed_frame
 from .bounds import sld_bound
 
@@ -61,22 +61,12 @@ class OracleResult:
 def _risks(amp, damp, g):
     """Optimally post-processed risks Tr G J_M^{-1} of a stack of rank-one
     PVMs, given by their amplitudes ``amp[r, k] = <b_k|phi>`` and
-    ``damp[r, k, i] = <b_k|l_i>``; inf where J_M is singular or an outcome
-    of zero probability carries information."""
+    ``damp[r, k, i] = <b_k|l_i>``, by :func:`~qest.measurements._fisher_risk`
+    (inf where J_M is singular)."""
     p = amp.real ** 2 + amp.imag ** 2
-    # dp[r, k, i] = Re <l_i|b_k><b_k|phi>
-    dp = (damp * amp.conj()[..., None]).real
-    live = p > PROB_FLOOR
-    dead = ((np.abs(dp) > DERIV_FLOOR) & ~live[..., None]).any(axis=(1, 2))
-    sel = dp / np.sqrt(np.where(live, p, np.inf))[..., None]
-    jm = sel.transpose(0, 2, 1) @ sel
-    sign, logdet = np.linalg.slogdet(jm)
-    bad = dead | (sign <= 0) | (logdet < -60)
-    if bad.any():
-        jm[bad] = np.eye(jm.shape[-1])
-    risk = np.einsum("ij,rji->r", g, np.linalg.inv(jm))
-    risk[bad] = np.inf
-    return risk
+    # dp[r, i, k] = Re <l_i|b_k><b_k|phi>
+    dp = (damp * amp.conj()[..., None]).real.swapaxes(1, 2)
+    return _fisher_risk(p, dp, g)[0]
 
 
 def _block(rate, active, k=1):

@@ -45,9 +45,12 @@ class QmleResult:
     theta_hats: np.ndarray        # surviving trials x m, in trial order
     scaled_risk: float            # N * Tr G MSE
     mse: np.ndarray
-    excluded_trials: int
     cr_value: float
     exclusions: tuple = ()        # (trial index, exception text) per exclusion
+
+    @property
+    def excluded_trials(self):
+        return len(self.exclusions)
 
 
 def _measurement_stack(model, thetas, weight):
@@ -263,7 +266,6 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     mse = dev.T @ dev / len(hats)
     scaled = float(cfg.n_samples * np.trace(weight.G @ mse))
     return QmleResult(theta_hats=hats, scaled_risk=scaled, mse=mse,
-                      excluded_trials=len(errors),
                       cr_value=bound_true.cr_value,
                       exclusions=tuple((t, str(errors[t]))
                                        for t in sorted(errors)))

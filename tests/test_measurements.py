@@ -41,7 +41,46 @@ def basis_projectors(dim):
             for k in range(dim)]
 
 
+def _outcome_loop(frame, projectors):
+    """Reference: p and dp of each projector in turn, as traces."""
+    p = np.zeros(len(projectors))
+    dp = np.zeros((frame.m, len(projectors)))
+    for k, proj in enumerate(projectors):
+        if frame.pure:
+            p[k] = np.vdot(frame.phi, proj @ frame.phi).real
+            for i, l in enumerate(frame.lifts):
+                dp[i, k] = np.vdot(l, proj @ frame.phi).real
+        else:
+            p[k] = np.trace(frame.rho @ proj).real
+            for i, l in enumerate(frame.slds):
+                drho = 0.5 * (l @ frame.rho + frame.rho @ l)
+                dp[i, k] = np.trace(drho @ proj).real
+    return p, dp
+
+
 class TestOutcomeDistribution:
+    @pytest.mark.parametrize("name", ["spin_3half", "squeezed", "mixed"])
+    def test_matches_the_loop(self, name):
+        # einsum sums in another order than the loop: 1e-14 of a trace of
+        # order-one operators
+        frame = {
+            "spin_3half": lambda: frame_at(zoo_spin_coherent(1.5, 0.5),
+                                           np.array([1.0, 0.5])),
+            "squeezed": lambda: frame_at(zoo_squeezed(trunc_dim=32),
+                                         np.array([0.1, -0.05, 0.3, 0.2])),
+            "mixed": lambda: frame_at(*load_model_spec(MIXED_ONE_PARAM_SPEC)),
+        }[name]()
+        d = len(frame.phi) if frame.pure else len(frame.rho)
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q = np.linalg.qr(z)[0]
+        projectors = q.T[:, :, None] * q.T.conj()[:, None, :]
+        p, dp = outcome_distribution(frame, projectors)
+        want_p, want_dp = _outcome_loop(frame, projectors)
+        assert np.max(np.abs(p - want_p)) <= 1e-14
+        assert np.max(np.abs(dp - want_dp)) <= 1e-14 * max(
+            1.0, np.abs(want_dp).max())
+
     def test_qubit_basis(self):
         frame = frame_at(great_circle_model(), np.array([0.8]))
         p, dp = outcome_distribution(frame, basis_projectors(2))
@@ -52,6 +91,11 @@ class TestOutcomeDistribution:
         frame = frame_at(zoo_spin_coherent(1.0, 1.0), np.array([0.7, 0.3]))
         p, dp = outcome_distribution(frame, basis_projectors(3))
         assert np.max(np.abs(dp.sum(axis=1))) <= 1e-10
+
+    def test_negative_probability_refused(self):
+        frame = frame_at(great_circle_model(), np.array([0.8]))
+        with pytest.raises(ValidationError, match="negative outcome"):
+            outcome_distribution(frame, [-np.eye(2, dtype=complex)])
 
     def test_canonical_gibbs_weights(self):
         model = zoo_canonical([0.0, 1.0, 2.0])
@@ -79,6 +123,20 @@ class TestClassicalFisher:
         jm, singular = classical_fisher(np.array([1.0, 0.0]),
                                         np.array([[0.5, -0.5]]))
         assert singular
+
+    def test_stack_is_row_by_row(self):
+        # p (T, K) and dp (T, m, K): each row as if passed alone, a row
+        # with a dead outcome carrying information flagged on its own
+        rng = np.random.default_rng(5)
+        p = rng.dirichlet(np.ones(4), size=3)
+        dp = rng.standard_normal((3, 2, 4))
+        p[1, 2] = 0.0
+        jm, singular = classical_fisher(p, dp)
+        assert singular.tolist() == [False, True, False]
+        for t in range(3):
+            row, flag = classical_fisher(p[t], dp[t])
+            assert np.allclose(jm[t], row, rtol=1e-14, atol=0.0)
+            assert flag == singular[t]
 
 
 class TestOptimalPostprocessing:
@@ -110,6 +168,14 @@ class TestOptimalPostprocessing:
         dp2 = np.array([[dp[0, 0] / 2, dp[0, 0] / 2, dp[0, 1]]])
         v2, _ = optimal_postprocessing(p2, dp2, np.eye(1))
         assert abs(v1 - v2) <= 1e-12
+
+    @pytest.mark.parametrize("p, dp", [
+        pytest.param([1.0, 0.0], [[0.5, -0.5]], id="dead_outcome_flow"),
+        pytest.param([0.5, 0.5], [[1e-40, -1e-40]], id="log_det_below_-60"),
+    ])
+    def test_singular_refused(self, p, dp):
+        with pytest.raises(ValidationError, match="singular"):
+            optimal_postprocessing(np.array(p), np.array(dp), np.eye(1))
 
 
 class TestConstructPvm:
@@ -288,11 +354,14 @@ class TestNearPole:
     """Within about 1e-6 of a spin pole J^S has condition number ~1e12, yet
     both a strictly positive weight and G = J^S get the full-rank
     two-parameter optimum: the build is attained, carries C, and its
-    recomputed risk is the bound.  (Spin 1/2 sits at 1.01e-6: at 1e-6 its
-    J_M, the reference's classical Fisher matrix, is refused as singular.)"""
+    risk, recomputed through optimal_postprocessing, is the bound.  J_M is
+    as ill-conditioned as J^S there, and the oracle's singularity rule
+    (log det J_M >= -60) accepts it."""
 
     @pytest.mark.parametrize("weight", ["identity", "random"])
-    @pytest.mark.parametrize("s, theta1", [(1.0, 1e-6), (0.5, 1.01e-6)])
+    @pytest.mark.parametrize("s, theta1", [(1.0, 1e-6), (0.5, 1.01e-6),
+                                           (0.5, 1e-6), (0.5, 5e-7),
+                                           (1.0, 5e-7)])
     def test_strict_weight_attained(self, s, theta1, weight):
         frame = frame_at(zoo_spin_coherent(s, s), np.array([theta1, 0.7]))
         g = {"identity": np.eye(2), "random": _strict_random_weight(2)}[weight]
@@ -307,13 +376,21 @@ class TestNearPole:
             *outcome_distribution(frame, elements), g)
         assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
 
-    @pytest.mark.parametrize("s, m_z", [(1.0, 1.0), (0.5, 0.5), (1.5, 0.5)])
-    def test_js_weight_attained(self, s, m_z):
+    @pytest.mark.parametrize("s, m_z, theta1", [
+        pytest.param(1.0, 1.0, 1e-6, id="1.0-1.0"),
+        pytest.param(0.5, 0.5, 1e-6, id="0.5-0.5"),
+        pytest.param(1.5, 0.5, 1e-6, id="1.5-0.5"),
+        # the Cholesky basis rows lose orthonormality here unless the
+        # construction re-orthonormalizes them ("projector not idempotent")
+        (1.0, 1.0, 5.17443e-7),
+        (1.5, 1.5, 7.72227e-7),
+        (1.5, 1.5, 7.73773e-7),
+        (1.5, 1.5, 7.75319e-7),
+    ])
+    def test_js_weight_attained(self, s, m_z, theta1):
         # G = J^S is not strict here, but its normalized weight is I; the
-        # value is 4 / (1 + sqrt(1 - beta^2)), 4 on a coherent point.  The
-        # built J_M is as ill-conditioned as J^S, past what
-        # optimal_postprocessing accepts, so Tr G J_M^{-1} is solved directly
-        frame = frame_at(zoo_spin_coherent(s, m_z), np.array([1e-6, 0.7]))
+        # value is 4 / (1 + sqrt(1 - beta^2)), 4 on a coherent point
+        frame = frame_at(zoo_spin_coherent(s, m_z), np.array([theta1, 0.7]))
         geom = info_geometry(frame)
         weight = WeightMatrix.from_matrix(geom.JS)
         assert not weight.strict
@@ -327,8 +404,8 @@ class TestNearPole:
         vectors, basis = optimal_vectors(frame, bound)
         elements, _ = naimark_compress(construct_pvm_from_vectors(vectors),
                                        basis)
-        jm, _ = classical_fisher(*outcome_distribution(frame, elements))
-        risk = np.trace(np.linalg.solve(jm, geom.JS))
+        risk, _ = optimal_postprocessing(
+            *outcome_distribution(frame, elements), geom.JS)
         assert abs(risk - bound.cr_value) <= 1e-8 * bound.cr_value
 
 
