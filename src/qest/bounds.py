@@ -13,12 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    SINGULAR_RTOL,
-    InternalConsistencyError,
-    ValidationError,
-    _sqrtm_psd,
-    as_hermitian,
-)
+    ARG_BETA_SLACK, LAGRANGE_RESIDUAL_TOL, OFF_BLOCK_RTOL, SINGULAR_RTOL,
+    ValidationError, _require, _sqrtm_psd, as_hermitian)
 from .geometry import InfoGeometry, decompose_direct_sum
 
 __all__ = [
@@ -33,7 +29,6 @@ __all__ = [
     "cr_direct_sum",
 ]
 
-LAGRANGE_RESIDUAL_TOL = 1e-8
 BISECTION_TOL = 1e-14
 
 
@@ -57,8 +52,8 @@ class WeightMatrix:
         g = as_hermitian(g).real
         w = np.linalg.eigvalsh(g)
         cutoff = SINGULAR_RTOL * max(1.0, abs(w[-1]))
-        if w[0] < -cutoff:
-            raise ValidationError(f"weight matrix has eigenvalue {w[0]:.3e} < 0")
+        _require(-w[0], cutoff, "weight matrix has a negative eigenvalue",
+                 ValidationError)
         return cls(G=g, strict=bool(w[0] > cutoff))
 
 
@@ -274,10 +269,9 @@ def _curve_optimum(g1, g2, beta_signed, coherent):
     lam = -u * v * bs * gr / (v * gr + u)
     r1 = u + v * lam * lam - u * u
     r2 = v * gr * gr + u * lam * lam - v * v * gr * gr
-    scale = max(1.0, u * u, v * v)
-    if max(abs(r1), abs(r2)) > LAGRANGE_RESIDUAL_TOL * scale:
-        raise InternalConsistencyError(
-            f"stationarity residuals too large: {r1:.3e}, {r2:.3e}")
+    tol = LAGRANGE_RESIDUAL_TOL * max(1.0, u * u, v * v)
+    for r in (r1, r2):    # each alone: a NaN is lost in max(r1, r2)
+        _require(abs(r), tol, "stationarity residuals too large")
     return u, v, value, g1 * lam
 
 
@@ -293,7 +287,7 @@ def boundary_curve(beta, samples=100, x_range=None):
     continues along z = 1 + |x| (the curve meets the half-lines
     tangentially).
     """
-    if not (0.0 <= beta <= 1.0 + 1e-12):
+    if not (0.0 <= beta <= 1.0 + ARG_BETA_SLACK):
         raise ValidationError(f"beta must be in [0, 1], got {beta}")
     beta = min(beta, 1.0)
     if samples < 2:
@@ -384,8 +378,8 @@ def cr_direct_sum(geom, weight):
 
     The blocks come from :func:`decompose_direct_sum` of ``geom``.  The
     weight must be block-diagonal in the decomposition's coordinates
-    (off-block mass <= 1e-10 relative); otherwise the closed form does not
-    apply and the caller should fall back to the oracle interval.
+    (relative off-block mass <= ``OFF_BLOCK_RTOL``); otherwise no closed
+    form applies and the caller should fall back to the oracle interval.
     """
     blocks, a = decompose_direct_sum(geom)
     a_inv = np.linalg.inv(a)
@@ -397,11 +391,10 @@ def cr_direct_sum(geom, weight):
     for blk in blocks:
         idx = np.array(blk.indices)
         mask[np.ix_(idx, idx)] = True
-    off = np.max(np.abs(np.where(mask, 0.0, g_new)))
-    if off > 1e-10 * max(1.0, np.max(np.abs(g_new))):
-        raise ValidationError(
-            "weight couples independent blocks; no closed form "
-            "(use the oracle + SLD floor interval)")
+    _require(np.abs(np.where(mask, 0.0, g_new)),
+             OFF_BLOCK_RTOL * max(1.0, np.max(np.abs(g_new))),
+             "weight couples independent blocks; no closed form "
+             "(use the oracle + SLD floor interval)", ValidationError)
 
     total = 0.0
     v_new = np.zeros_like(g_new)

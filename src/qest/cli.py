@@ -20,13 +20,8 @@ from .operators import ORACLE_SLACK, InternalConsistencyError, ValidationError
 from .models import frame_at, load_model_spec
 from .geometry import (InfoGeometry, coherency_det_check, info_geometry,
                        rpf_transport)
-from .bounds import (
-    WeightMatrix,
-    attainable_bound,
-    boundary_curve,
-    cr_coherent,
-    cr_two_param,
-)
+from .bounds import (WeightMatrix, attainable_bound, boundary_curve,
+                     cr_coherent, cr_two_param, sld_bound)
 from .measurements import (
     commuting_sld_estimator,
     construct_pvm_from_vectors,
@@ -104,14 +99,20 @@ def _emit(text, out_path):
 
 def _emit_json(report, out_path):
     """One compact line with sorted keys.  A float array at ``elements`` is
-    written by ``_json_floats`` and spliced in."""
+    written by ``_json_floats`` and spliced in.  The JSON is strict: a
+    non-finite number raises :class:`InternalConsistencyError`."""
     elements = report.get("elements")
-    if elements is None:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    else:
-        text = json.dumps({**report, "elements": None}, sort_keys=True,
-                          separators=(",", ":")).replace(
-            '"elements":null', '"elements":' + _json_floats(elements), 1)
+    if elements is not None and not np.isfinite(elements).all():
+        raise InternalConsistencyError("non-finite POVM element")
+    try:
+        text = json.dumps(report if elements is None else
+                          {**report, "elements": None}, sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"report is not strict JSON: {exc}")
+    if elements is not None:
+        text = text.replace('"elements":null',
+                            '"elements":' + _json_floats(elements), 1)
     _emit(text + "\n", out_path)
 
 
@@ -167,6 +168,12 @@ def _load_weight(spec_str, geom):
         raise ValidationError(
             f"weight is {weight.G.shape[0]}x{weight.G.shape[0]}, model has "
             f"{geom.m} parameters")
+    # every closed form lies between the SLD floor Tr G J^{S-1} and twice it
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = sld_bound(geom, weight).cr_value
+    if not math.isfinite(2.0 * floor):
+        raise ValidationError(f"weight {spec_str}: twice its SLD floor "
+                              f"Tr G J^S-1 = {floor!r} overflows")
     return weight
 
 
@@ -401,7 +408,7 @@ def _cmd_time_energy(args):
         "js": rep.js,
         "j_mms": rep.j_mms,
         "quadratic_regime": rep.quadratic_regime,
-        "w_ratio": rep.w_ratio,
+        "w_ratio": None if math.isnan(rep.w_ratio) else rep.w_ratio,
     }
     lines = [f"escape probability w:   {_sig(rep.w)}",
              f"Stein exponent:         {_sig(rep.stein_exponent)}",

@@ -8,7 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import InternalConsistencyError, ValidationError, _sqrtm_psd
+from .operators import (
+    BETA_PAIR_TOL, CLOSURE_TOL, COHERENT_BETA_TOL, DET_CHECK_RTOL,
+    DIRECT_SUM_TOL, FRAME_BETA_SLACK, QUASI_CLASSICAL_RTOL, STEP_FIDELITY,
+    ValidationError, _require, _sqrtm_psd)
 from .models import frame_at, sld_solve
 
 __all__ = [
@@ -22,9 +25,6 @@ __all__ = [
     "decompose_direct_sum",
 ]
 
-QUASI_CLASSICAL_RTOL = 1e-9
-COHERENT_BETA_TOL = 1e-6
-BETA_PAIR_TOL = 1e-8
 CURVATURE_STEP = 1e-4
 
 
@@ -78,10 +78,9 @@ def _derive_stack(js, jt):
     rows = []
     for w, q in zip(np.linalg.eigvalsh(1j * n_skew)[:, ::-1].tolist(),
                     quasi.tolist()):
+        # w[0] is the largest beta whenever there is one
+        _require(w[0], 1.0 + FRAME_BETA_SLACK, "beta exceeds 1; invalid frame")
         beta_pairs = tuple(b for b in w if b > BETA_PAIR_TOL)
-        if beta_pairs and beta_pairs[0] > 1.0 + 1e-9:
-            raise InternalConsistencyError(
-                f"beta = {beta_pairs[0]!r} exceeds 1; invalid frame")
         coherent = (2 * len(beta_pairs) == m and all(
             abs(b - 1.0) <= COHERENT_BETA_TOL for b in beta_pairs))
         rows.append((beta_pairs, m - 2 * len(beta_pairs), q, coherent))
@@ -139,7 +138,7 @@ def coherency_det_check(geom):
         return False
     det_js = abs(np.linalg.det(geom.JS))
     det_jt = abs(np.linalg.det(geom.Jtilde))
-    return bool(abs(det_js - det_jt) <= 1e-6 * det_js)
+    return bool(abs(det_js - det_jt) <= DET_CHECK_RTOL * det_js)
 
 
 def uhlmann_curvature(model, theta):
@@ -192,8 +191,8 @@ def rpf_transport(model, vertices, steps_per_edge=200):
     if steps_per_edge < 1:
         raise ValidationError(
             f"steps_per_edge must be at least 1, got {steps_per_edge}")
-    if np.linalg.norm(vertices[0] - vertices[-1]) > 1e-12:
-        raise ValidationError("curve must be closed")
+    _require(np.linalg.norm(vertices[0] - vertices[-1]), CLOSURE_TOL,
+             "curve must be closed", ValidationError)
     t = np.arange(steps_per_edge)[:, None] / steps_per_edge
     edges = vertices[1:] - vertices[:-1]
     points = (vertices[:-1, None] + t * edges[:, None]).reshape(-1, model.m)
@@ -205,10 +204,8 @@ def rpf_transport(model, vertices, steps_per_edge=200):
         root = _sqrtm_psd(np.array([model.state(p).density for p in points]))
         a, s, bh = np.linalg.svd(root @ np.roll(root, -1, axis=0))
         fidelity = s.sum(axis=1)
-    if fidelity.min() < np.cos(0.5):
-        raise ValidationError(
-            f"transport step too coarse: fidelity {fidelity.min():.3f} between "
-            "consecutive states < cos 0.5; increase steps_per_edge")
+    _require(-fidelity, -STEP_FIDELITY, "transport step too coarse (negated "
+             "fidelity); increase steps_per_edge", ValidationError)
     if model.pure:
         rpf = np.prod(overlap.conj() / fidelity)
         return rpf, float(np.angle(rpf))
@@ -262,7 +259,6 @@ def decompose_direct_sum(geom):
     a_inv = np.linalg.inv(a)
     js_new = a_inv.T @ geom.JS @ a_inv
     jt_new = a_inv.T @ geom.Jtilde @ a_inv
-    if max(np.max(np.abs(js_new - np.eye(m))),
-           np.max(np.abs(jt_new - canon))) > 1e-8:
-        raise InternalConsistencyError("direct-sum normalization failed")
+    _require(np.abs(np.concatenate([js_new - np.eye(m), jt_new - canon])),
+             DIRECT_SUM_TOL, "direct-sum normalization failed")
     return blocks, a

@@ -11,14 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    DERIV_FLOOR,
-    GRAM_IMAG_RTOL,
-    PROB_FLOOR,
-    InternalConsistencyError,
-    NotRealGramError,
-    ValidationError,
-    _sqrtm_psd,
-)
+    COMMUTATOR_TOL, COVARIANCE_RTOL, DERIV_FLOOR, DIAGONAL_RTOL, OVERLAP_FLOOR,
+    PROB_FLOOR, PVM_TOL, REMAINDER_TOL, TAIL_PSD_RTOL, UNBIASED_TOL,
+    XCHECK_TOL, InternalConsistencyError, NotRealGramError, ValidationError,
+    _require, _sqrtm_psd)
 from .models import _embed_stack
 
 __all__ = [
@@ -33,11 +29,6 @@ __all__ = [
     "commuting_sld_estimator",
     "naimark_compress",
 ]
-
-PVM_TOL = 1e-10
-UNBIASED_TOL = 1e-8
-XCHECK_TOL = 1e-8
-COMMUTATOR_TOL = 1e-8
 
 
 @dataclass
@@ -66,12 +57,12 @@ class PvmEstimator:
 def _check_pvm(p, dim):
     """Hermitian idempotent projectors summing to the identity: a (K, d, d)
     stack, or a (T, K, d, d) stack of them."""
-    if np.abs(p - p.swapaxes(-1, -2).conj()).max() > PVM_TOL:
-        raise ValidationError("projector not Hermitian")
-    if np.abs(p @ p - p).max() > PVM_TOL:
-        raise ValidationError("projector not idempotent")
-    if np.abs(p.sum(axis=-3) - np.eye(dim)).max() > PVM_TOL:
-        raise ValidationError("projectors do not sum to identity")
+    _require(np.abs(p - p.swapaxes(-1, -2).conj()), PVM_TOL,
+             "projector not Hermitian", ValidationError)
+    _require(np.abs(p @ p - p), PVM_TOL, "projector not idempotent",
+             ValidationError)
+    _require(np.abs(p.sum(axis=-3) - np.eye(dim)), PVM_TOL,
+             "projectors do not sum to identity", ValidationError)
 
 
 @dataclass(frozen=True)
@@ -101,8 +92,7 @@ def outcome_distribution(frame, projectors):
         drho = [0.5 * (l @ rho + rho @ l) for l in frame.slds]
         p = np.einsum("ab,kba->k", rho, proj).real
         dp = np.einsum("iab,kba->ik", drho, proj).real
-    if (p < -PROB_FLOOR).any():
-        raise ValidationError(f"negative outcome probability {p.min():.3e}")
+    _require(-p, PROB_FLOOR, "negative outcome probability", ValidationError)
     return np.maximum(p, 0.0), dp
 
 
@@ -164,7 +154,7 @@ def _householder_orthogonal(k):
     w /= np.linalg.norm(w)
     o = np.eye(k) - 2.0 * np.outer(w, w)
     # <b'_kappa | phi> = O[kappa, 0] since b^1 = phi: 1/sqrt(k) each
-    if np.min(np.abs(o[:, 0])) <= 1e-9:
+    if not np.min(np.abs(o[:, 0])) > OVERLAP_FLOOR:   # refused at equality
         raise InternalConsistencyError("orthogonal mix has an outcome with "
                                        "zero overlap")
     o.flags.writeable = False
@@ -210,12 +200,10 @@ def _pvm_stack(phi, x, theta):
     x_adj = x.conj().swapaxes(1, 2)
     gram = x_adj @ x
     big = np.maximum(np.abs(gram).max(axis=(1, 2)), 1.0)
-    imag = np.abs(gram.imag).max(axis=(1, 2))
-    if (imag > GRAM_IMAG_RTOL * big).any():
-        raise NotRealGramError(
-            f"Gram matrix imaginary part {imag.max():.3e} exceeds tolerance")
-    if np.abs(x_adj @ phi[:, :, None]).max() > XCHECK_TOL:
-        raise ValidationError("estimation vectors not orthogonal to phi")
+    _require(np.abs(gram.imag).max(axis=(1, 2)), XCHECK_TOL * big,
+             "Gram matrix imaginary part exceeds tolerance", NotRealGramError)
+    _require(np.abs(x_adj @ phi[:, :, None]), XCHECK_TOL,
+             "estimation vectors not orthogonal to phi", ValidationError)
     if dim < m + 1:
         raise ValidationError("ambient space too small for the construction")
     # near a spin pole Y = R^{-T} X^T is not orthonormal to round-off; a
@@ -246,14 +234,12 @@ def _pvm_stack(phi, x, theta):
     p = ((projectors @ phi[:, None, :, None])[..., 0]
          @ phi.conj()[:, :, None])[..., 0].real
     mean = (p[:, None] @ est)[:, 0]
-    if np.abs(mean - theta).max() > UNBIASED_TOL:
-        raise InternalConsistencyError("constructed PVM is biased")
+    _require(np.abs(mean - theta), UNBIASED_TOL, "constructed PVM is biased")
     dev = est - theta[:, None]
     cov = (dev * p[..., None]).swapaxes(1, 2) @ dev
-    if (np.abs(cov - gram.real).max(axis=(1, 2)) > 1e-9 * np.maximum(
-            1.0, np.abs(gram.real).max(axis=(1, 2)))).any():
-        raise InternalConsistencyError(
-            "constructed PVM covariance does not match Re X*X")
+    _require(np.abs(cov - gram.real).max(axis=(1, 2)), COVARIANCE_RTOL
+             * np.maximum(1.0, np.abs(gram.real).max(axis=(1, 2))),
+             "constructed PVM covariance does not match Re X*X")
     return projectors, est, cov
 
 
@@ -305,10 +291,8 @@ def _vector_stack(phis, lifts, c, v_opt, dilate_dim):
             raise InternalConsistencyError("dilated space too small")
         q = v_opt[tail] - z[tail]
         q = 0.5 * (q + q.conj().swapaxes(1, 2))
-        wq = np.linalg.eigvalsh(q)[:, 0]
-        if (wq < -1e-7 * scale[tail]).any():
-            raise InternalConsistencyError(
-                f"dilation tail not PSD (min eig {wq.min():.3e})")
+        _require(-np.linalg.eigvalsh(q)[:, 0], TAIL_PSD_RTOL * scale[tail],
+                 "dilation tail not PSD")
         x_e[tail, -m:] = _sqrtm_psd(q)
     _verify_stack(phi_e, l_e, x_e, v_opt)
     return phi_e, x_e, basis
@@ -319,17 +303,12 @@ def _verify_stack(phi_e, l_e, x_e, v_opt):
     space, on each row of a stack."""
     m = x_e.shape[2]
     x_adj = x_e.conj().swapaxes(1, 2)
-    dev = np.abs((x_adj @ l_e).real - np.eye(m)).max()
-    if dev > XCHECK_TOL:
-        raise InternalConsistencyError(f"Re X*L != I (max dev {dev:.3e})")
+    _require(np.abs((x_adj @ l_e).real - np.eye(m)), XCHECK_TOL, "Re X*L != I")
     xx = x_adj @ x_e
-    scale = np.maximum(1.0, np.abs(xx).max(axis=(1, 2)))
-    if (np.abs(xx.imag).max(axis=(1, 2)) > XCHECK_TOL * scale).any():
-        raise InternalConsistencyError("Im X*X != 0")
-    if (np.abs(xx.real - v_opt).max(axis=(1, 2)) > XCHECK_TOL * scale).any():
-        raise InternalConsistencyError("Re X*X != V")
-    if np.abs(x_adj @ phi_e[:, :, None]).max() > XCHECK_TOL:
-        raise InternalConsistencyError("<phi|x^i> != 0")
+    tol = XCHECK_TOL * np.maximum(1.0, np.abs(xx).max(axis=(1, 2)))
+    _require(np.abs(xx.imag).max(axis=(1, 2)), tol, "Im X*X != 0")
+    _require(np.abs(xx.real - v_opt).max(axis=(1, 2)), tol, "Re X*X != V")
+    _require(np.abs(x_adj @ phi_e[:, :, None]), XCHECK_TOL, "<phi|x^i> != 0")
 
 
 def commuting_sld_estimator(frame, geom):
@@ -349,11 +328,10 @@ def commuting_sld_estimator(frame, geom):
     scale = max(max(np.max(np.abs(l)) for l in slds), 1e-300)
     for i in range(m):
         for j in range(i + 1, m):
-            comm = slds[i] @ slds[j] - slds[j] @ slds[i]
-            nrm = np.max(np.abs(comm))
-            if nrm > COMMUTATOR_TOL * scale**2:
-                raise ValidationError(
-                    f"SLDs do not commute: max |[L_{i},L_{j}]| = {nrm:.3e}")
+            _require(np.abs(slds[i] @ slds[j] - slds[j] @ slds[i]),
+                     COMMUTATOR_TOL * scale**2,
+                     f"SLDs do not commute: max |[L_{i},L_{j}]|",
+                     ValidationError)
 
     # commuting Hermitian matrices: the eigenbasis of a generic combination
     # diagonalizes each of them
@@ -361,10 +339,9 @@ def commuting_sld_estimator(frame, geom):
     _, u = np.linalg.eigh(sum(ci * li for ci, li in zip(c, slds)))
     for l in slds:
         d = u.conj().T @ l @ u
-        if (np.max(np.abs(d - np.diag(np.diag(d))))
-                > 1e-6 * max(1.0, np.max(np.abs(l)))):
-            raise InternalConsistencyError(
-                "simultaneous diagonalization failed")
+        _require(np.abs(d - np.diag(np.diag(d))),
+                 DIAGONAL_RTOL * max(1.0, np.max(np.abs(l))),
+                 "simultaneous diagonalization failed")
 
     # outcome w: |u_w><u_w| announcing theta + J^{S-1} (<u_w|L_i|u_w>)_i
     lam = np.einsum("aw,iab,bw->wi", u.conj(), np.array(slds), u).real
@@ -411,7 +388,7 @@ def _naimark_stack(projectors, embedding):
     elements = emb @ projectors[:, :, :k, :k] @ emb.conj().swapaxes(2, 3)
     elements = 0.5 * (elements + elements.swapaxes(2, 3).conj())
     rem = np.eye(base_dim) - elements.sum(axis=1)
-    has_rem = np.abs(rem).max(axis=(1, 2)) > 1e-9
+    has_rem = np.abs(rem).max(axis=(1, 2)) > REMAINDER_TOL
     if (has_rem != has_rem[0]).any():
         raise ValidationError("stacked measurements differ in remainder")
     if not has_rem[0]:

@@ -9,16 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    FAITHFUL_MIN_EIG,
-    LIFT_RESIDUAL_RTOL,
-    SINGULAR_RTOL,
-    ValidationError,
-    hermitian_eigendecomposition,
-    mixed_state,
-    pure_state,
-    skew_flow,
-    unit_rows,
-)
+    ALIGN_FLOOR, FAITHFUL_MIN_EIG, LEAKAGE_TOL, LIFT_RANK_RTOL,
+    LIFT_RESIDUAL_RTOL, SINGULAR_RTOL, ValidationError, _require,
+    hermitian_eigendecomposition, mixed_state, pure_state, skew_flow,
+    unit_rows)
 
 __all__ = [
     "ParametricModel",
@@ -39,7 +33,6 @@ __all__ = [
 
 FD_STEP_DEFAULT = 1e-5
 TRUNC_DIM_DEFAULT = 64
-LEAKAGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -186,10 +179,9 @@ def _pure_tangent_stack(model, thetas):
     phis, nbrs = vs[:, 0], vs[:, 1:]
     ov = np.vecdot(phis[:, None, :], nbrs)
     size = np.abs(ov)
-    if (size < 1e-12).any():
-        raise ValidationError(
-            "phase alignment impossible: neighbor state orthogonal to center "
-            "(fd_step far too large?)")
+    _require(-size.min(), -ALIGN_FLOOR, "phase alignment impossible: neighbor "
+             "state orthogonal to center (fd_step far too large?)",
+             ValidationError)
     nbrs = nbrs * (ov.conj() / size)[:, :, None]
     return phis, (nbrs[:, :m] - nbrs[:, m:]) / (2.0 * h)
 
@@ -216,11 +208,9 @@ def _lifts(phis, dphis):
     # non-redundancy: the real span of the lifts must have dimension m
     stacked = np.concatenate([lifts.real, lifts.imag], axis=2)
     scale = np.maximum(np.linalg.norm(stacked, axis=(1, 2)), 1e-300)
-    rank = np.linalg.matrix_rank(stacked, tol=1e-8 * scale)
-    if (rank < lifts.shape[1]).any():
-        raise ValidationError(
-            f"redundant parameters: real span of lifts has rank "
-            f"{np.min(rank)} < {lifts.shape[1]}")
+    rank = np.linalg.matrix_rank(stacked, tol=LIFT_RANK_RTOL * scale)
+    _require(lifts.shape[1] - rank, 0.0, "redundant parameters: real span "
+             "of lifts is rank-deficient", ValidationError)
     return lifts
 
 
@@ -233,10 +223,8 @@ def sld_solve(model, theta):
         raise ValidationError("sld_solve requires a mixed model")
     rho = st.density
     p, u = hermitian_eigendecomposition(rho)
-    if p[0] < FAITHFUL_MIN_EIG:
-        raise ValidationError(
-            f"state not faithful at theta={theta}: min eigenvalue {p[0]:.3e}; "
-            "use the pure-state path or regularize the model")
+    _require(-p[0], -FAITHFUL_MIN_EIG, "state not faithful: use the pure-"
+             "state path or regularize the model", ValidationError)
     drhos = tangents(model, theta)
     denom = p[:, None] + p[None, :]
     slds = []
@@ -244,9 +232,9 @@ def sld_solve(model, theta):
         m_eig = 2.0 * (u.conj().T @ drho @ u) / denom
         l = u @ m_eig @ u.conj().T
         l = 0.5 * (l + l.conj().T)
-        resid = np.linalg.norm(0.5 * (l @ rho + rho @ l) - drho)
-        if resid > LIFT_RESIDUAL_RTOL * max(1.0, np.linalg.norm(drho)):
-            raise ValidationError(f"SLD reconstruction residual {resid:.3e}")
+        _require(np.linalg.norm(0.5 * (l @ rho + rho @ l) - drho),
+                 LIFT_RESIDUAL_RTOL * max(1.0, np.linalg.norm(drho)),
+                 "SLD reconstruction residual too large", ValidationError)
         slds.append(l)
     return TangentFrame(theta=theta, pure=False, rho=rho, slds=slds)
 
@@ -353,11 +341,9 @@ def annihilation(n):
 
 
 def _check_leakage(vec, label):
-    leak = np.abs(vec[-2:]) ** 2
-    if leak.sum() > LEAKAGE_TOL:
-        raise ValidationError(
-            f"{label}: top-Fock population {leak.sum():.3e} exceeds "
-            f"{LEAKAGE_TOL:.0e}; increase trunc_dim")
+    _require((np.abs(vec[-2:]) ** 2).sum(), LEAKAGE_TOL,
+             f"{label}: top-Fock population too large; increase trunc_dim",
+             ValidationError)
 
 
 @functools.cache

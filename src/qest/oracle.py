@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import ORACLE_SLACK, InternalConsistencyError, ValidationError
+from .operators import ORACLE_SLACK, ValidationError, _require
 from .measurements import _fisher_risk
 from .models import _embed_frame
 from .bounds import sld_bound
@@ -286,10 +286,9 @@ def verify_bound(frame, geom, weight, closed_form, cfg=SearchConfig(),
         return report
     cr = closed_form.cr_value
     gap = res.best_value - cr
-    if gap < -ORACLE_SLACK * max(1.0, abs(cr)):
-        raise InternalConsistencyError(
-            f"oracle ({res.best_value!r}) undercuts the closed-form bound "
-            f"({cr!r}): floor violation")
+    _require(-gap, ORACLE_SLACK * max(1.0, abs(cr)),
+             f"oracle ({res.best_value!r}) undercuts the closed-form bound "
+             f"({cr!r}): floor violation")
     report.update(cr_value=cr, gap_above=float(gap),
                   relative_gap=float(gap / max(abs(cr), 1e-300)))
     return report

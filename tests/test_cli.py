@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import qest.cli
 from qest.bounds import WeightMatrix, attainable_bound
-from qest.cli import _json_floats, _matrix_lines, _real_rows, run
+from qest.cli import _emit_json, _json_floats, _matrix_lines, _real_rows, run
 from qest.geometry import info_geometry
 from qest.measurements import (
     construct_pvm_from_vectors,
@@ -19,6 +20,7 @@ from qest.measurements import (
     optimal_vectors,
 )
 from qest.models import frame_at, load_model_spec
+from qest.operators import InternalConsistencyError
 
 SPIN_SPEC = {
     "kind": "spin_coherent",
@@ -175,6 +177,82 @@ class TestTimeEnergy:
                                   "--format", "json"])
         assert (rc, err) == (0, "")
         assert json.loads(out)["w_ratio"] == 0.0
+
+    def test_stationary_state_ratio_is_null(self, tmp_path, capsys):
+        # psi0 = e_0 is an eigenvector of h = diag(1, 2): w and its
+        # quadratic approximation are both 0, so their ratio is undefined
+        path = tmp_path / "stationary.json"
+        path.write_text(json.dumps(_time_evolution(
+            h=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])))
+        argv = ["time-energy", "--model", str(path), "--dt", "0.1",
+                "--n", "5"]
+        assert run(argv + ["--format", "json"]) == 0
+        report = _strict_json(capsys.readouterr().out)
+        assert report["w"] == 0.0 and report["w_ratio"] is None
+        assert run(argv) == 0
+        assert capsys.readouterr().out.endswith(
+            "w / quadratic approx:   nan\n")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("report", [
+        {"cr_value": INF}, {"rows": [{"z": NAN}]},
+        {"method": "sld", "elements": np.array([[0.0, -INF]])},
+    ], ids=["inf", "nested_nan", "elements"])
+    def test_non_finite_number_refused(self, report, capsys):
+        with pytest.raises(InternalConsistencyError):
+            _emit_json(report, None)
+        assert capsys.readouterr().out == ""
+
+    def test_report_holding_inf_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(qest.cli, "boundary_curve",
+                            lambda *args, **kwargs: [(0.0, INF, "curve")])
+        assert run(["boundary", "--beta", "0.5", "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not strict JSON" in captured.err
+
+
+SPIN_3HALF_SPEC = {"kind": "spin_coherent", "params": {"s": 1.5, "m_z": 0.5},
+                   "theta": [0.3, 0.7]}
+
+
+class TestHugeWeight:
+    """A finite weight is refused at entry (exit 2) where twice its SLD
+    floor overflows, since every closed form lies between the floor and
+    twice it; before, such weights printed NaN or Infinity or raised."""
+
+    @pytest.mark.parametrize("cmd, spec, extra", [
+        ("bound", SPIN_3HALF_SPEC, ()),
+        ("measurement", SPIN_3HALF_SPEC, ()),
+        ("oracle", SPIN_3HALF_SPEC, ("--restarts", "2", "--steps", "20")),
+        ("bound", {"kind": "canonical", "params": {"energies": [0, 0.7, 1.3]},
+                   "theta": [5.0]}, ()),
+        ("simulate-qmle", {**SPIN_SPEC, "theta": [1.0, 0.7]},
+         ("--samples", "20", "--trials", "2")),
+    ], ids=["bound", "measurement", "oracle", "bound_canonical",
+            "simulate_qmle"])
+    def test_refused_cold(self, tmp_path, cmd, spec, extra):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(spec))
+        m = len(spec["theta"])
+        weight = tmp_path / "weight.json"
+        weight.write_text(json.dumps((1e308 * np.eye(m)).tolist()))
+        rc, out, err = _cold_run([cmd, "--model", str(model), "--weight",
+                                  str(weight), "--format", "json", *extra])
+        assert (rc, out) == (2, "")
+        assert "SLD floor" in err and str(weight) in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    def test_large_weight_keeps_its_value(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(SPIN_3HALF_SPEC))
+        weight = tmp_path / "weight.json"
+        weight.write_text("[[1e300, 0], [0, 1e300]]")
+        assert run(["bound", "--model", str(model), "--weight", str(weight),
+                    "--format", "json"]) == 0
+        assert '"cr_value":1.7813760179690022e+300,' in (
+            capsys.readouterr().out)
 
 
 class TestWeightFile:

@@ -33,7 +33,8 @@ from qest.models import (
     zoo_spin_coherent,
     zoo_squeezed,
 )
-from qest.operators import ValidationError
+from qest.measurements import _check_pvm, _verify_stack
+from qest.operators import InternalConsistencyError, ValidationError
 
 
 def basis_projectors(dim):
@@ -706,3 +707,30 @@ class TestMeasurementCannotBeatSld:
                 continue
             w = np.linalg.eigvalsh(geom.JS - jm)
             assert w[0] >= -1e-8
+
+
+class TestNanResidualFails:
+    """A NaN residual fails its check: each of these inputs passed every
+    comparison written as ``residual > tol``."""
+
+    @pytest.mark.parametrize("where", ["one_entry", "whole_stack"])
+    def test_projector_stack(self, where):
+        # a (T, K, d, d) stack of two complete qutrit PVMs
+        clean = np.array([basis_projectors(3)] * 2)
+        _check_pvm(clean, 3)
+        projs = clean.copy()
+        if where == "one_entry":
+            projs[1, 2, 0, 1] = np.nan
+        else:
+            projs[:] = np.nan
+        with pytest.raises(ValidationError, match="projector not Hermitian"):
+            _check_pvm(projs, 3)
+
+    def test_vector_stack(self):
+        # rows (phi, L) = (e_0, [e_1, e_2]) with X = L and V = I pass
+        phi_e = np.eye(3, dtype=complex)[None, 0]
+        l_e = np.eye(3, dtype=complex)[None, :, 1:]
+        v_opt = np.eye(2)[None]
+        _verify_stack(phi_e, l_e, l_e.copy(), v_opt)
+        with pytest.raises(InternalConsistencyError, match=r"Re X\*L != I"):
+            _verify_stack(phi_e, l_e, np.full_like(l_e, np.nan), v_opt)

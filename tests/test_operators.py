@@ -3,7 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from qest.operators import (
+    InternalConsistencyError,
+    NotRealGramError,
     ValidationError,
+    _require,
     hermitian_eigendecomposition,
     matrix_exponential_skew,
     mixed_state,
@@ -131,3 +134,44 @@ class TestStates:
             worse[1, 0] = bad
             with pytest.raises(ValidationError):
                 unit_rows(worse)
+
+
+NAN = float("nan")
+
+
+class TestRequire:
+    """The one check rule: every residual at most its tolerance passes, a
+    NaN fails, and the refusal is the caller's class with the caller's
+    text first, then the worst residual and its tolerance."""
+
+    @pytest.mark.parametrize("residual, tol, worst", [
+        (np.array([0.5, 1.0]), 1.0, None),
+        (np.float64(1.0), 1.0, None),
+        (-np.array([3.0, 2.0]), -2.0, None),
+        (np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]), None),
+        (np.array([0.5, 1.5]), 1.0, "1.500e+00, tolerance 1.000e+00"),
+        (np.float64(NAN), 1.0, "nan, tolerance 1.000e+00"),
+        (np.array([2.0, NAN]), 1.0, "nan, tolerance 1.000e+00"),
+        (np.array([2.0, 9.0, 4.0]), np.array([1.0, 8.5, 1.0]),
+         "4.000e+00, tolerance 1.000e+00"),
+        (np.array([5.0, NAN]), np.array([1.0, 1.0]),
+         "nan, tolerance 1.000e+00"),
+    ], ids=["scalar_equal_passes", "numpy_scalar_equal_passes",
+            "lower_bound_equal_passes", "per_entry_equal_passes",
+            "scalar_exceeded", "scalar_nan", "nan_entry_scalar_tol",
+            "per_entry_worst_excess", "per_entry_nan_first"])
+    @pytest.mark.parametrize("error", [InternalConsistencyError,
+                                       ValidationError, NotRealGramError])
+    def test_rule(self, residual, tol, worst, error):
+        if worst is None:
+            assert _require(residual, tol, "some check", error) is None
+            return
+        with pytest.raises(error) as info:
+            _require(residual, tol, "some check failed", error)
+        assert type(info.value) is error
+        assert str(info.value) == ("some check failed (worst residual "
+                                   + worst + ")")
+
+    def test_default_error_is_internal(self):
+        with pytest.raises(InternalConsistencyError, match=r"^Re X\*L != I"):
+            _require(np.array([NAN]), 1e-8, "Re X*L != I")
