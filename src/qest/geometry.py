@@ -112,13 +112,10 @@ def info_geometry(frame):
     Faithful models: the same with <l_i|l_j> replaced by tr rho L_i L_j.
     """
     if frame.pure:
-        js, jt = _lift_gram(np.array(frame.lifts)[None])
+        js, jt = _lift_gram(frame.lifts[None])
         return InfoGeometry(JS=js[0], Jtilde=jt[0])
-    m = frame.m
-    c = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            c[i, j] = np.trace(frame.rho @ frame.slds[i] @ frame.slds[j])
+    slds = frame.slds
+    c = np.trace(frame.rho @ slds[:, None] @ slds, axis1=2, axis2=3)
     return InfoGeometry(JS=0.5 * (c.real + c.real.T),
                         Jtilde=0.5 * (c.imag - c.imag.T))
 
@@ -146,24 +143,19 @@ def uhlmann_curvature(model, theta):
     with SLD derivatives by central differences of step CURVATURE_STEP."""
     theta = np.asarray(theta, dtype=float)
     m = model.m
-    frame0 = sld_solve(model, theta)
-    slds = frame0.slds
-    dl = []  # dl[i][j] = d_i L_j, Richardson-extrapolated central differences
-    for i in range(m):
-        dt = np.zeros(m)
-        dt[i] = CURVATURE_STEP
-        lp = sld_solve(model, theta + dt).slds
-        lm = sld_solve(model, theta - dt).slds
-        lp2 = sld_solve(model, theta + 2 * dt).slds
-        lm2 = sld_solve(model, theta - 2 * dt).slds
-        dl.append([(8.0 * (lp[j] - lm[j]) - (lp2[j] - lm2[j]))
-                   / (12.0 * CURVATURE_STEP) for j in range(m)])
-    f = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = slds[i] @ slds[j] - slds[j] @ slds[i]
-            f[(i, j)] = (dl[i][j] - dl[j][i]) - 0.5 * comm
-    return f
+    slds = sld_solve(model, theta).slds
+    steps = CURVATURE_STEP * np.eye(m)
+
+    def shifted(k):   # row i: the SLDs at theta + k h e_i
+        return np.array([sld_solve(model, theta + k * dt).slds
+                         for dt in steps])
+
+    # dl[i, j] = d_i L_j, Richardson-extrapolated central differences
+    dl = ((8.0 * (shifted(1) - shifted(-1)) - (shifted(2) - shifted(-2)))
+          / (12.0 * CURVATURE_STEP))
+    prod = slds[:, None] @ slds   # L_i L_j
+    f = (dl - dl.swapaxes(0, 1)) - 0.5 * (prod - prod.swapaxes(0, 1))
+    return {(i, j): f[i, j] for i in range(m) for j in range(i + 1, m)}
 
 
 def rpf_transport(model, vertices, steps_per_edge=200):

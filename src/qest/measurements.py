@@ -88,8 +88,8 @@ def outcome_distribution(frame, projectors):
         p = np.einsum("a,kab,b->k", phi.conj(), proj, phi).real
         dp = np.einsum("ia,kab,b->ik", np.conj(frame.lifts), proj, phi).real
     else:
-        rho = frame.rho
-        drho = [0.5 * (l @ rho + rho @ l) for l in frame.slds]
+        rho, slds = frame.rho, frame.slds
+        drho = 0.5 * (slds @ rho + rho @ slds)
         p = np.einsum("ab,kba->k", rho, proj).real
         dp = np.einsum("iab,kba->ik", drho, proj).real
     _require(-p, PROB_FLOOR, "negative outcome probability", ValidationError)
@@ -264,7 +264,7 @@ def optimal_vectors(frame, bound):
                               f"optimizer C")
     m = frame.m
     phi_e, x_e, basis = _vector_stack(
-        frame.phi[None], np.array(frame.lifts)[None], bound.C[None],
+        frame.phi[None], frame.lifts[None], bound.C[None],
         bound.V_opt[None], m + 1 if bound.method == "sld" else 2 * m + 1)
     return (EstimationVectors(phi=phi_e[0], X=x_e[0],
                               theta=np.asarray(frame.theta, dtype=float)),
@@ -324,27 +324,24 @@ def commuting_sld_estimator(frame, geom):
         raise ValidationError("the commuting-SLD estimator needs a faithful "
                               "mixed frame")
     slds = frame.slds
-    m = len(slds)
-    scale = max(max(np.max(np.abs(l)) for l in slds), 1e-300)
-    for i in range(m):
-        for j in range(i + 1, m):
-            _require(np.abs(slds[i] @ slds[j] - slds[j] @ slds[i]),
-                     COMMUTATOR_TOL * scale**2,
-                     f"SLDs do not commute: max |[L_{i},L_{j}]|",
-                     ValidationError)
+    size = np.abs(slds).max(axis=(1, 2))   # max |L_i|
+    prod = slds[:, None] @ slds            # L_i L_j
+    _require(np.abs(prod - prod.swapaxes(0, 1)),
+             COMMUTATOR_TOL * max(size.max(), 1e-300)**2,
+             "SLDs do not commute: max |[L_i,L_j]|", ValidationError)
 
     # commuting Hermitian matrices: the eigenbasis of a generic combination
     # diagonalizes each of them
-    c = np.random.default_rng(7).standard_normal(m)
+    c = np.random.default_rng(7).standard_normal(len(slds))
     _, u = np.linalg.eigh(sum(ci * li for ci, li in zip(c, slds)))
-    for l in slds:
-        d = u.conj().T @ l @ u
-        _require(np.abs(d - np.diag(np.diag(d))),
-                 DIAGONAL_RTOL * max(1.0, np.max(np.abs(l))),
-                 "simultaneous diagonalization failed")
+    d = u.conj().T @ slds @ u
+    off = np.where(np.eye(len(u), dtype=bool), 0.0, d)
+    _require(np.abs(off).max(axis=(1, 2)),
+             DIAGONAL_RTOL * np.maximum(1.0, size),
+             "simultaneous diagonalization failed")
 
     # outcome w: |u_w><u_w| announcing theta + J^{S-1} (<u_w|L_i|u_w>)_i
-    lam = np.einsum("aw,iab,bw->wi", u.conj(), np.array(slds), u).real
+    lam = np.einsum("aw,iab,bw->wi", u.conj(), slds, u).real
     pvm = PvmEstimator(projectors=u.T[:, :, None] * u.T.conj()[:, None, :],
                        estimates=frame.theta + lam @ np.linalg.inv(geom.JS).T,
                        ambient_dim=len(u))

@@ -41,7 +41,8 @@ class ParametricModel:
 
     ``state_at(theta)`` returns a :class:`QuantumState`.  Tangents are
     central finite differences by default; models that know their derivative
-    in closed form may supply ``tangent_at(theta) -> list of d(state)``.
+    in closed form may supply ``tangent_at(theta)``, the m derivatives
+    d_i(state) as a sequence or a stacked array.
     Pure models may supply ``states_at(thetas)``, the state vectors at a
     (P, m) stack of points as a (P, dim) array, for :meth:`states`.
     """
@@ -76,18 +77,19 @@ class ParametricModel:
 class TangentFrame:
     """State plus derivative data at a point.
 
-    Pure models carry the base vector ``phi`` and horizontal lifts
-    ``lifts[i] = 2 (I - |phi><phi|) |d_i phi>`` (each orthogonal to phi).
-    Faithful mixed models carry ``rho`` and Hermitian SLD operators
-    ``slds[i]`` solving  d_i rho = (L_i rho + rho L_i)/2.
+    Pure models carry the base vector ``phi`` and the horizontal lifts as
+    one complex (m, d) array, ``lifts[i] = 2 (I - |phi><phi|) |d_i phi>``
+    (each orthogonal to phi).  Faithful mixed models carry ``rho`` and the
+    Hermitian SLD operators as one complex (m, d, d) array, ``slds[i]``
+    solving  d_i rho = (L_i rho + rho L_i)/2.
     """
 
     theta: np.ndarray
     pure: bool
     phi: np.ndarray = None
-    lifts: list = None
+    lifts: np.ndarray = None
     rho: np.ndarray = None
-    slds: list = None
+    slds: np.ndarray = None
 
     @property
     def m(self):
@@ -106,8 +108,8 @@ def _embed_frame(frame, dilate_dim):
         raise ValidationError(
             "the dilated embedding needs a pure model; mixed models have no "
             "measurement search yet (only the SLD floor is available)")
-    basis, phi_e, l_e = _embed_stack(frame.phi[None],
-                                     np.array(frame.lifts)[None], dilate_dim)
+    basis, phi_e, l_e = _embed_stack(frame.phi[None], frame.lifts[None],
+                                     dilate_dim)
     return basis[0], phi_e[0], l_e[0]
 
 
@@ -139,24 +141,21 @@ def _embed_stack(phis, lifts, dilate_dim):
 
 
 def tangents(model, theta, with_state=False):
-    """List of d_i(state) at theta: the model's ``tangent_at`` when it has
-    one, else central finite differences, with each neighbour of a pure
-    state phase-aligned to the centre.  A pure model's 2m + 1 points come
-    from one :meth:`ParametricModel.states` call.  With ``with_state``, a
-    pure model's state vector at theta comes first, as ``(phi, list)``; it
-    is row 0 of that call when there is one."""
+    """The m derivatives d_i(state) at theta as one complex array, (m, d)
+    for a pure model and (m, d, d) for a mixed one: the model's
+    ``tangent_at`` when it has one, else central finite differences.  A pure
+    model's come from :func:`_pure_tangent_stack`.  With ``with_state``, a
+    pure model's state vector at theta comes first, as ``(phi, array)``."""
     theta = np.asarray(theta, dtype=float)
-    if model.pure and model.tangent_at is None:
+    if model.pure:
         phis, dphis = _pure_tangent_stack(model, theta[None])
-        return (phis[0], list(dphis[0])) if with_state else list(dphis[0])
+        return (phis[0], dphis[0]) if with_state else dphis[0]
     if model.tangent_at is not None:
-        dstates = [np.asarray(t, dtype=complex)
-                   for t in model.tangent_at(theta)]
-        return ((model.state(theta).vector, dstates) if with_state
-                else dstates)
-    steps = model.fd_step * np.eye(model.m)
-    return [(model.state(theta + dt).rho - model.state(theta - dt).rho)
-            / (2.0 * model.fd_step) for dt in steps]
+        return np.array(model.tangent_at(theta), dtype=complex)
+    h, m = model.fd_step, model.m
+    pts = theta + h * np.concatenate([np.eye(m), -np.eye(m)])
+    rhos = np.array([model.state(t).rho for t in pts])
+    return (rhos[:m] - rhos[m:]) / (2.0 * h)
 
 
 def _pure_tangent_stack(model, thetas):
@@ -168,8 +167,7 @@ def _pure_tangent_stack(model, thetas):
     phase-aligned to its centre."""
     if model.tangent_at is not None:
         return (np.array([model.state(t).vector for t in thetas]),
-                np.array([[np.asarray(v, dtype=complex)
-                           for v in model.tangent_at(t)] for t in thetas]))
+                np.array([model.tangent_at(t) for t in thetas], dtype=complex))
     t_rows, m = thetas.shape
     h = model.fd_step
     steps = h * np.eye(m)
@@ -193,9 +191,8 @@ def horizontal_lift(model, theta):
         raise ValidationError("horizontal_lift requires a pure model")
     theta = np.asarray(theta, dtype=float)
     phi, dphis = tangents(model, theta, with_state=True)
-    lifts = _lifts(phi[None], np.array(dphis)[None])
     return TangentFrame(theta=theta, pure=True, phi=phi,
-                        lifts=list(lifts[0]))
+                        lifts=_lifts(phi[None], dphis[None])[0])
 
 
 def _lifts(phis, dphis):
@@ -216,7 +213,8 @@ def _lifts(phis, dphis):
 
 def sld_solve(model, theta):
     """Tangent frame of a faithful mixed model: Hermitian SLDs from the
-    eigenbasis formula (L_i)_{ab} = 2 <a|d_i rho|b> / (p_a + p_b)."""
+    eigenbasis formula (L_i)_{ab} = 2 <a|d_i rho|b> / (p_a + p_b), all m
+    at once, each held to its own reconstruction residual."""
     theta = np.asarray(theta, dtype=float)
     st = model.state(theta)
     if st.kind != "mixed":
@@ -226,16 +224,14 @@ def sld_solve(model, theta):
     _require(-p[0], -FAITHFUL_MIN_EIG, "state not faithful: use the pure-"
              "state path or regularize the model", ValidationError)
     drhos = tangents(model, theta)
-    denom = p[:, None] + p[None, :]
-    slds = []
-    for drho in drhos:
-        m_eig = 2.0 * (u.conj().T @ drho @ u) / denom
-        l = u @ m_eig @ u.conj().T
-        l = 0.5 * (l + l.conj().T)
-        _require(np.linalg.norm(0.5 * (l @ rho + rho @ l) - drho),
-                 LIFT_RESIDUAL_RTOL * max(1.0, np.linalg.norm(drho)),
-                 "SLD reconstruction residual too large", ValidationError)
-        slds.append(l)
+    u_adj = u.conj().T
+    l = u @ (2.0 * (u_adj @ drhos @ u) / (p[:, None] + p[None, :])) @ u_adj
+    slds = 0.5 * (l + l.conj().swapaxes(1, 2))
+    _require(np.linalg.norm(0.5 * (slds @ rho + rho @ slds) - drhos,
+                            axis=(1, 2)),
+             LIFT_RESIDUAL_RTOL * np.maximum(
+                 1.0, np.linalg.norm(drhos, axis=(1, 2))),
+             "SLD reconstruction residual too large", ValidationError)
     return TangentFrame(theta=theta, pure=False, rho=rho, slds=slds)
 
 
