@@ -41,7 +41,8 @@ class WeightMatrix:
 
     @classmethod
     def from_matrix(cls, g):
-        """Validated weight: a finite real symmetric PSD square matrix."""
+        """Validated weight: a finite real symmetric PSD square matrix,
+        strict when its eigenvalues exceed ``SINGULAR_RTOL`` times the top."""
         try:
             g = np.asarray(g, dtype=float)
         except (TypeError, ValueError):
@@ -51,7 +52,7 @@ class WeightMatrix:
             raise ValidationError("weight matrix has non-finite entries")
         g = as_hermitian(g).real
         w = np.linalg.eigvalsh(g)
-        cutoff = SINGULAR_RTOL * max(1.0, abs(w[-1]))
+        cutoff = SINGULAR_RTOL * abs(w[-1])
         _require(-w[0], cutoff, "weight matrix has a negative eigenvalue",
                  ValidationError)
         return cls(G=g, strict=bool(w[0] > cutoff))
@@ -194,7 +195,7 @@ def cr_two_param(geom, weight):
     g_n = _normalized_weight(s_inv, weight.G)
     gw = np.linalg.eigvalsh(g_n)
 
-    if not weight.strict and gw[0] <= SINGULAR_RTOL * max(1.0, gw[-1]):
+    if not weight.strict and gw[0] <= SINGULAR_RTOL * gw[-1]:
         # Tr G V is constant (= g1 * 1) along the achievable half-line; for
         # maximally incompatible pairs no finite optimizer exists.
         value = float(gw[-1])
@@ -336,14 +337,16 @@ def boundary_curve(beta, samples=100, x_range=None):
 
 def cr_coherent(geom, weight):
     """Closed form for coherent models (all beta = 1):
-    Tr G J^{S-1} + Tr abs(G J^{S-1} J~ J^{S-1})."""
+    Tr G J^{S-1} + Tr abs(G J^{S-1} J~ J^{S-1}), the last term the sum of
+    |w| over the eigenvalues of iK, K = G^{1/2} J^{S-1} J~ J^{S-1} G^{1/2}
+    (real antisymmetric, same nonzero spectrum); |K| = U |w| U^dag."""
     if not geom.coherent:
         raise ValidationError("cr_coherent requires a coherent model")
-    g = weight.G
+    g_half = _sqrtm_psd(weight.G)
     js_inv = np.linalg.inv(geom.JS)
-    a = g @ js_inv @ geom.Jtilde @ js_inv
-    eig = np.linalg.eigvals(a)
-    value = float(sld_bound(geom, weight).cr_value + np.sum(np.abs(eig)))
+    core = g_half @ js_inv @ geom.Jtilde @ js_inv @ g_half
+    w, u = np.linalg.eigh(0.5j * (core - core.T))
+    value = float(sld_bound(geom, weight).cr_value + np.abs(w).sum())
 
     if not weight.strict:
         return BoundResult(cr_value=value, method="coherent",
@@ -351,10 +354,8 @@ def cr_coherent(geom, weight):
                            note="singular weight: closed form is proved for "
                                 "strictly positive G; value is an infimum")
 
-    g_half = _sqrtm_psd(g)
     g_inv_half = np.linalg.inv(g_half)
-    core = g_half @ js_inv @ geom.Jtilde @ js_inv @ g_half
-    abs_core = _sqrtm_psd(core @ core.conj().T)
+    abs_core = ((u * np.abs(w)) @ u.conj().T).real
     v_opt = js_inv + g_inv_half @ abs_core @ g_inv_half
     return BoundResult(cr_value=value, method="coherent",
                        V_opt=0.5 * (v_opt + v_opt.T), C=js_inv)

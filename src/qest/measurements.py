@@ -179,9 +179,17 @@ def construct_pvm_from_vectors(vectors):
     before returning.
     """
     phi = np.asarray(vectors.phi, dtype=complex)
+    x = np.asarray(vectors.X, dtype=complex)
+    gram = x.conj().T @ x
+    _require(np.abs(gram.imag).max(),
+             XCHECK_TOL * max(np.abs(gram).max(), 1.0),
+             "Gram matrix imaginary part exceeds tolerance", NotRealGramError)
+    _require(np.abs(phi.conj() @ x), XCHECK_TOL,
+             "estimation vectors not orthogonal to phi", ValidationError)
+    if len(phi) < x.shape[1] + 1:
+        raise ValidationError("ambient space too small for the construction")
     projectors, est, cov = _pvm_stack(
-        phi[None], np.asarray(vectors.X, dtype=complex)[None],
-        np.asarray(vectors.theta, dtype=float)[None])
+        phi[None], x[None], np.asarray(vectors.theta, dtype=float)[None])
     pvm = PvmEstimator(projectors=projectors[0], estimates=est[0],
                        ambient_dim=len(phi))
     pvm.meta["covariance"] = cov[0]
@@ -193,19 +201,11 @@ def _pvm_stack(phi, x, theta):
     (T, D), vectors (T, D, m) and points (T, m).  Returns the projectors
     (T, K, D, D), the estimates (T, K, m) and the covariances (T, m, m),
     every row verified.  Row t's basis is phi, then the rows of R^{-T} X^T
-    for a Cholesky factor Re X*X = R^T R (applied twice, see below).  The
-    stack is refused when any row has Im X*X != 0 (:class:`NotRealGramError`),
-    some <phi|x^i> != 0, linearly dependent x^i, or D < m + 1."""
+    for a Cholesky factor Re X*X = R^T R (applied twice, see below).  Its
+    callers have checked Im X*X = 0, <phi|x^i> = 0 and D >= m + 1; a row
+    with linearly dependent x^i is refused."""
     dim, m = x.shape[1:]
-    x_adj = x.conj().swapaxes(1, 2)
-    gram = x_adj @ x
-    big = np.maximum(np.abs(gram).max(axis=(1, 2)), 1.0)
-    _require(np.abs(gram.imag).max(axis=(1, 2)), XCHECK_TOL * big,
-             "Gram matrix imaginary part exceeds tolerance", NotRealGramError)
-    _require(np.abs(x_adj @ phi[:, :, None]), XCHECK_TOL,
-             "estimation vectors not orthogonal to phi", ValidationError)
-    if dim < m + 1:
-        raise ValidationError("ambient space too small for the construction")
+    gram = x.conj().swapaxes(1, 2) @ x
     # near a spin pole Y = R^{-T} X^T is not orthonormal to round-off; a
     # second factor Re YY* = R_2^T R_2 gives rows R_2^{-T} Y and R <- R_2 R
     try:

@@ -53,6 +53,19 @@ def rotation_qubit_model(gen1, gen2, rho0):
                            state_at=state_at, pure=False)
 
 
+def rotation_qubit_draw(rng):
+    """A :func:`rotation_qubit_model` with random Hermitian generators and a
+    random faithful diagonal rho0, and a random point: ``(model, theta)``."""
+    def hermitian():
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        return 0.5 * (a + a.conj().T)
+
+    p = rng.uniform(0.1, 0.4)
+    model = rotation_qubit_model(hermitian(), hermitian(),
+                                 np.diag([1.0 - p, p]).astype(complex))
+    return model, rng.uniform(-1.0, 1.0, 2)
+
+
 def diagonal_qubit_model(basis):
     """Classical family: fixed eigenbasis, eigenvalues moved by theta."""
     from qest.operators import mixed_state

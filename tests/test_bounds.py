@@ -17,7 +17,7 @@ from qest.bounds import (
     sld_bound,
 )
 from qest.geometry import InfoGeometry, decompose_direct_sum, geometry_at
-from qest.models import zoo_pm_shift, zoo_squeezed
+from qest.models import zoo_pm_shift, zoo_spin_coherent, zoo_squeezed
 from qest.operators import ValidationError
 
 
@@ -312,6 +312,82 @@ class TestCrCoherent:
         res = cr_coherent(make_geom(1.0),
                           WeightMatrix.from_matrix(np.diag([1.0, 0.0])))
         assert res.attained == "infimum_only"
+
+    def test_matches_the_squared_core_formula(self):
+        # the value and V_opt of Tr abs(G J^{S-1} J~ J^{S-1}) from eigvals
+        # and |K| = (K K^T)^{1/2}, K = G^{1/2} J^{S-1} J~ J^{S-1} G^{1/2}
+        geom = geometry_at(zoo_squeezed(trunc_dim=32),
+                           np.array([0.1, -0.1, 0.2, 0.2]))
+        js_inv = np.linalg.inv(geom.JS)
+        rng = np.random.default_rng(11)
+
+        def psd_root(a):
+            w, u = np.linalg.eigh(a)
+            return (u * np.sqrt(np.maximum(w, 0.0))) @ u.T
+
+        for _ in range(20):
+            a = rng.standard_normal((4, 4))
+            g = a @ a.T + 0.1 * np.eye(4)
+            g_half = psd_root(g)
+            g_inv_half = np.linalg.inv(g_half)
+            core = g_half @ js_inv @ geom.Jtilde @ js_inv @ g_half
+            value = np.trace(g @ js_inv) + np.abs(np.linalg.eigvals(
+                g @ js_inv @ geom.Jtilde @ js_inv)).sum()
+            v_opt = js_inv + g_inv_half @ psd_root(core @ core.T) @ g_inv_half
+            res = cr_coherent(geom, WeightMatrix.from_matrix(g))
+            assert abs(res.cr_value - value) <= 1e-12 * value
+            assert np.abs(res.V_opt - 0.5 * (v_opt + v_opt.T)).max() <= (
+                1e-12 * np.abs(v_opt).max())
+
+
+SCALES = [1e-200, 1e-13, 1e-8, 1.0, 1e8, 1e200]
+
+
+def _random_strict_weight():
+    a = np.random.default_rng(5).standard_normal((4, 4))
+    return a @ a.T + 0.5 * np.eye(4)
+
+
+SCALE_CASES = {
+    "spin_half": (lambda: zoo_spin_coherent(0.5, 0.5), [1.0, 0.7],
+                  lambda: np.diag([1.0, 2.0])),
+    "spin_3half": (lambda: zoo_spin_coherent(1.5, 0.5), [1.0, 0.7],
+                   lambda: np.diag([1.0, 2.0])),
+    "squeezed_identity": (lambda: zoo_squeezed(trunc_dim=32),
+                          [0.1, -0.1, 0.2, 0.2], lambda: np.eye(4)),
+    "squeezed_random": (lambda: zoo_squeezed(trunc_dim=32),
+                        [0.1, -0.1, 0.2, 0.2], _random_strict_weight),
+}
+
+
+class TestWeightScale:
+    """Every bound is homogeneous in the weight, CR(s G) = s CR(G), and a
+    weight's classification (strict, rank-one) is relative to its largest
+    eigenvalue, so s G is treated as G at every scale."""
+
+    @pytest.mark.parametrize("case", sorted(SCALE_CASES))
+    @pytest.mark.parametrize("s", SCALES)
+    def test_bound_is_homogeneous(self, case, s):
+        model, theta, weight = SCALE_CASES[case]
+        geom = geometry_at(model(), np.array(theta))
+        g0 = weight()
+        base = attainable_bound(geom, WeightMatrix.from_matrix(g0), True)
+        res = attainable_bound(geom, WeightMatrix.from_matrix(s * g0), True)
+        assert res.attained == base.attained == "attained"
+        assert abs(res.cr_value - s * base.cr_value) <= (
+            1e-12 * s * base.cr_value)
+        assert np.abs(res.V_opt - base.V_opt).max() <= 1e-10 * max(
+            1.0, np.abs(base.V_opt).max())
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_strictness_is_relative(self, s):
+        assert WeightMatrix.from_matrix(s * np.diag([1.0, 2.0])).strict
+        assert not WeightMatrix.from_matrix(s * np.diag([1.0, 0.0])).strict
+
+    def test_zero_weight(self):
+        weight = WeightMatrix.from_matrix(np.zeros((2, 2)))
+        assert not weight.strict
+        assert cr_two_param(make_geom(0.6), weight).cr_value == 0.0
 
 
 class TestCrGeneralJs:

@@ -255,6 +255,43 @@ class TestHugeWeight:
             capsys.readouterr().out)
 
 
+class TestScaledWeight:
+    """A weight far from unit scale gives its bound, its measurement and
+    its oracle, cold, with strict JSON and a quiet stderr."""
+
+    SQUEEZED = {"kind": "squeezed", "trunc_dim": 32,
+                "theta": [0.1, -0.1, 0.2, 0.2]}
+
+    @pytest.mark.parametrize("cmd, extra", [
+        ("bound", ()), ("measurement", ()),
+        ("oracle", ("--restarts", "2", "--steps", "50"))],
+        ids=["bound", "measurement", "oracle"])
+    def test_huge_coherent_weight(self, tmp_path, cmd, extra):
+        # G = 1e200 I: the coherent closed form never squares its core
+        model = write_spec(tmp_path, "squeezed", self.SQUEEZED)
+        weight = tmp_path / "weight.json"
+        weight.write_text(json.dumps((1e200 * np.eye(4)).tolist()))
+        rc, out, err = _cold_run([cmd, "--model", model, "--weight",
+                                  str(weight), "--format", "json", *extra])
+        assert (rc, err) == (0, "")
+        assert _strict_json(out)["cr_value"] > 1e200
+
+    def test_tiny_weight_measurement(self, tmp_path):
+        # G = 1e-13 diag(1, 2) is strict, as diag(1, 2) is: its measurement
+        # attains the two-parameter bound
+        model = write_spec(tmp_path, "spin", {**SPIN_SPEC,
+                                              "theta": [1.0, 0.7]})
+        weight = tmp_path / "weight.json"
+        weight.write_text(json.dumps([[1e-13, 0.0], [0.0, 2e-13]]))
+        rc, out, err = _cold_run(["measurement", "--model", model,
+                                  "--weight", str(weight), "--format",
+                                  "json"])
+        assert (rc, err) == (0, "")
+        report = _strict_json(out)
+        assert abs(report["risk"] - report["cr_value"]) <= (
+            1e-8 * report["cr_value"])
+
+
 class TestWeightFile:
     def test_whitespace_matrix_matches_json(self, spin_spec, tmp_path,
                                             capsys):

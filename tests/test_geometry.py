@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     diagonal_qubit_model,
     great_circle_model,
+    rotation_qubit_draw,
     rotation_qubit_model,
     synthetic_lift_model,
 )
@@ -85,6 +86,20 @@ def _svd_beta_pairs(n_skew):
     assert len(live) % 2 == 0
     assert np.max(np.abs(live[::2] - live[1::2]), initial=0.0) <= 1e-13
     return live[::2], len(sv) - len(live)
+
+
+class TestMixedGram:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_elementwise_trace(self, seed):
+        # J^S + i J~ is the matrix of tr rho L_i L_j
+        model, theta = rotation_qubit_draw(np.random.default_rng(seed))
+        frame = frame_at(model, theta)
+        c = np.array([[np.trace(frame.rho @ li @ lj) for lj in frame.slds]
+                      for li in frame.slds])
+        geom = info_geometry(frame)
+        tol = 1e-14 * np.abs(c).max()
+        assert np.abs(geom.JS - 0.5 * (c.real + c.real.T)).max() <= tol
+        assert np.abs(geom.Jtilde - 0.5 * (c.imag - c.imag.T)).max() <= tol
 
 
 class TestBetaSpectrum:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import great_circle_model
+from conftest import great_circle_model, rotation_qubit_draw
 from qest import models
 from qest.models import (
     ParametricModel,
@@ -119,6 +119,47 @@ class TestHorizontalLift:
                                 state_at=state_at)
         with pytest.raises(ValidationError):
             horizontal_lift(model, np.array([0.2, 0.1]))
+
+
+def _layout_case(name):
+    """(model, theta) of one frame-layout case."""
+    if name == "spin_half":        # states_at
+        return zoo_spin_coherent(0.5, 0.5), np.array([1.0, 0.7])
+    if name == "squeezed":         # state_at
+        return zoo_squeezed(trunc_dim=32), np.array([0.1, -0.1, 0.2, 0.2])
+    if name == "explicit":         # tangent_at
+        return (explicit_model(np.array([0.6, 0.8j, 0.0]),
+                               [np.array([0.0, 0.0, 0.5]),
+                                np.array([0.0, 0.3j, 0.1])]),
+                np.array([0.0, 0.0]))
+    if name == "canonical":
+        return zoo_canonical([0.0, 0.7, 1.3]), np.array([1.0])
+    return rotation_qubit_draw(np.random.default_rng(4))
+
+
+class TestFrameLayout:
+    """A frame holds its tangent data as one complex array: (m, d) lifts of
+    a pure model, (m, d, d) SLDs of a faithful one."""
+
+    @pytest.mark.parametrize("name", ["spin_half", "squeezed", "explicit",
+                                      "canonical", "rotation_qubit"])
+    def test_frame_arrays(self, name):
+        model, theta = _layout_case(name)
+        frame = frame_at(model, theta)
+        data = frame.lifts if model.pure else frame.slds
+        shape = (model.m,) + (model.dim,) * (1 if model.pure else 2)
+        assert isinstance(data, np.ndarray)
+        assert data.dtype == complex and data.shape == shape
+        assert frame.m == model.m
+
+    @pytest.mark.parametrize("name", ["explicit", "spin_half"])
+    def test_tangents_are_the_stack_row(self, name):
+        model, theta = _layout_case(name)
+        got = tangents(model, theta)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got,
+                              models._pure_tangent_stack(model,
+                                                         theta[None])[1][0])
 
 
 class TestSldSolve:
