@@ -91,15 +91,15 @@ def _svd_beta_pairs(n_skew):
 class TestMixedGram:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_elementwise_trace(self, seed):
-        # J^S + i J~ is the matrix of tr rho L_i L_j
+        # J^S + i J~ is the matrix of tr rho L_i L_j; the stacked trace does
+        # the same arithmetic as this loop, so the bits agree
         model, theta = rotation_qubit_draw(np.random.default_rng(seed))
         frame = frame_at(model, theta)
         c = np.array([[np.trace(frame.rho @ li @ lj) for lj in frame.slds]
                       for li in frame.slds])
         geom = info_geometry(frame)
-        tol = 1e-14 * np.abs(c).max()
-        assert np.abs(geom.JS - 0.5 * (c.real + c.real.T)).max() <= tol
-        assert np.abs(geom.Jtilde - 0.5 * (c.imag - c.imag.T)).max() <= tol
+        assert np.array_equal(geom.JS, 0.5 * (c.real + c.real.T))
+        assert np.array_equal(geom.Jtilde, 0.5 * (c.imag - c.imag.T))
 
 
 class TestBetaSpectrum:
