@@ -204,6 +204,25 @@ def _maximize(loglik, theta0, radius, grid_points):
     return best
 
 
+def _row_by_row(stacked, trials, errors, fill):
+    """The one rule that excludes a QMLE trial: ``stacked(rows)`` gives one
+    result per row of ``rows``, a slice of the rows of ``trials``; it is
+    called on every row at once, and when that raises ``TRIAL_ERRORS``, on
+    each row alone.  A row that still raises yields ``fill``, and its trial
+    keeps its first exception in ``errors``."""
+    try:
+        return stacked(slice(None))
+    except TRIAL_ERRORS:
+        out = []
+        for i, t in enumerate(trials):
+            try:
+                out.append(stacked(slice(i, i + 1))[0])
+            except TRIAL_ERRORS as exc:
+                errors.setdefault(int(t), exc)
+                out.append(fill)
+        return out
+
+
 def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     """Adaptive weighted-quantum-MLE Monte Carlo.
 
@@ -247,99 +266,22 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
     first = _measurement_stack(
         model, (theta_true if cfg.fixed_measurement else theta_init)[None],
         weight)[0]
-    lockstep = _Lockstep(model, weight, cfg, lam_min, probabilities,
-                         (first, probabilities(first)), theta_init)
+    errors = {}   # excluded trial -> its first exception
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    chunk = max(1, RECORD_BUDGET // (16 * cfg.n_samples * model.dim**2))
-    hats = np.concatenate([lockstep.run(seeds[i:i + chunk], i)
-                           for i in range(0, cfg.trials, chunk)])
-    errors = lockstep.errors
-    if len(errors) == cfg.trials:
-        raise ValidationError(f"all {len(errors)} trials excluded: "
-                              f"{errors[max(errors)]}")
-    hats = hats[~np.isnan(hats).any(axis=1)]
-    canonicalize = model.meta.get("canonicalize")
-    if canonicalize is not None:
-        hats = np.array([canonicalize(h, theta_true) for h in hats])
-    dev = hats - theta_true
-    mse = dev.T @ dev / len(hats)
-    scaled = float(cfg.n_samples * np.trace(weight.G @ mse))
-    return QmleResult(theta_hats=hats, scaled_risk=scaled, mse=mse,
-                      cr_value=bound_true.cr_value,
-                      exclusions=tuple((t, str(errors[t]))
-                                       for t in sorted(errors)))
-
-
-class _Lockstep:
-    """The trial loop of :func:`simulate_gqmle` for one chunk of trials at a
-    time; ``errors`` maps each excluded trial's index to its exception."""
-
-    def __init__(self, model, weight, cfg, lam_min, probabilities, first_law,
-                 theta_init):
-        self.model, self.weight, self.cfg = model, weight, cfg
-        self.lam_min = lam_min
-        self.probabilities = probabilities
-        self.first_law = first_law
-        self.theta_init = theta_init
-        self.errors = {}
-
-    def _exclude(self, trial, exc):
-        self.errors.setdefault(int(trial), exc)
-
-    def _guarded(self, loglik, live, offset):
-        """``loglik`` with rows given as indices into ``live``; when a
-        stacked call fails, each row is scored alone, and a row that still
-        fails is NaN and its trial's exception is kept."""
-        live = np.array(live)
-
-        def scored(points, rows):
-            try:
-                return loglik(points, live[rows])
-            except TRIAL_ERRORS:
-                out = np.full(points.shape[:2], np.nan)
-                for i, t in enumerate(live[rows]):
-                    try:
-                        out[i] = loglik(points[i:i + 1], [t])[0]
-                    except TRIAL_ERRORS as exc:
-                        self._exclude(t + offset, exc)
-                return out
-
-        return scored
-
-    def _laws(self, thetas, trials):
-        """(elements, probabilities) per row at a stack of estimates: one
-        stacked build, or, when that fails, each point alone, where a
-        failing point excludes its trial and yields None."""
-        try:
-            elements = _measurement_stack(self.model, thetas, self.weight)
-            return list(zip(elements, self.probabilities(elements)))
-        except TRIAL_ERRORS:
-            laws = []
-            for theta, t in zip(thetas, trials):
-                try:
-                    elements = _measurement_stack(self.model, theta[None],
-                                                  self.weight)[0]
-                    laws.append((elements, self.probabilities(elements)))
-                except TRIAL_ERRORS as exc:
-                    self._exclude(t, exc)
-                    laws.append(None)
-            return laws
-
-    def run(self, seeds, offset):
+    def run(seeds, offset):
         """Estimates (T, m) of the trials seeded by ``seeds``, numbered from
         ``offset``; NaN rows for excluded trials."""
-        cfg, n, d = self.cfg, self.cfg.n_samples, self.model.dim
+        n, d = cfg.n_samples, model.dim
         rngs = [np.random.default_rng(seq) for seq in seeds]
-        laws = [self.first_law] * len(seeds)
+        laws = [(first, probabilities(first))] * len(seeds)
         record = np.zeros((len(seeds), n, d, d), dtype=complex)
         counts = np.zeros((len(seeds), n))
         used = [0] * len(seeds)
         if cfg.fixed_measurement:
             # one measurement throughout: its elements hold every count
-            used = [len(self.first_law[0])] * len(seeds)
-            record[:, :used[0]] = self.first_law[0]
-        hats = np.tile(self.theta_init, (len(seeds), 1))
+            used = [len(first)] * len(seeds)
+            record[:, :used[0]] = first
+        hats = np.tile(theta_init, (len(seeds), 1))
         live = list(range(len(seeds)))
         i = 0
         while i < n and live:
@@ -360,25 +302,57 @@ class _Lockstep:
                 used[t] = slots.stop
             i = due
             width = max(used[t] for t in live)
-            loglik = _log_likelihood_factory(self.model, record[:, :width],
+            loglik = _log_likelihood_factory(model, record[:, :width],
                                              counts[:, :width])
-            radius = min(3.0 / np.sqrt(i * self.lam_min), 0.7)
-            hats[live] = _maximize(self._guarded(loglik, live, offset),
-                                   hats[live], radius,
+            rows_of = np.array(live)
+
+            def scored(points, rows):
+                trials = rows_of[rows]
+                return np.asarray(_row_by_row(
+                    lambda s: loglik(points[s], trials[s]), trials + offset,
+                    errors, np.full(points.shape[1], np.nan)))
+
+            radius = min(3.0 / np.sqrt(i * lam_min), 0.7)
+            hats[live] = _maximize(scored, hats[live], radius,
                                    GRID_POINTS if i <= cfg.reopt_every else 1)
             live = [t for t in live if not np.isnan(hats[t, 0])]
             if cfg.fixed_measurement or i >= n or not live:
                 continue
-            laws_at = self._laws(hats[live], [t + offset for t in live])
-            for t, law in zip(live, laws_at):
+            estimates = hats[live]
+
+            def build(s):
+                elements = _measurement_stack(model, estimates[s], weight)
+                return list(zip(elements, probabilities(elements)))
+
+            for t, law in zip(live, _row_by_row(
+                    build, [t + offset for t in live], errors, None)):
                 laws[t] = law
                 if law is None:
                     hats[t] = np.nan
             live = [t for t in live if laws[t] is not None]
         for t in np.flatnonzero(np.isnan(hats[:, 0])):
-            self._exclude(t + offset, ValidationError(
-                "non-finite likelihood"))
+            errors.setdefault(int(t) + offset,
+                              ValidationError("non-finite likelihood"))
         return hats
+
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    chunk = max(1, RECORD_BUDGET // (16 * cfg.n_samples * model.dim**2))
+    hats = np.concatenate([run(seeds[i:i + chunk], i)
+                           for i in range(0, cfg.trials, chunk)])
+    if len(errors) == cfg.trials:
+        raise ValidationError(f"all {len(errors)} trials excluded: "
+                              f"{errors[max(errors)]}")
+    hats = hats[~np.isnan(hats).any(axis=1)]
+    canonicalize = model.meta.get("canonicalize")
+    if canonicalize is not None:
+        hats = np.array([canonicalize(h, theta_true) for h in hats])
+    dev = hats - theta_true
+    mse = dev.T @ dev / len(hats)
+    scaled = float(cfg.n_samples * np.trace(weight.G @ mse))
+    return QmleResult(theta_hats=hats, scaled_risk=scaled, mse=mse,
+                      cr_value=bound_true.cr_value,
+                      exclusions=tuple((t, str(errors[t]))
+                                       for t in sorted(errors)))
 
 
 @dataclass
