@@ -241,9 +241,13 @@ def _two_param_stack(g, g_n, s_half, s_inv_half, beta_signed, coherent):
     c = (s_inv_half @ s_inv_half).astype(complex)
     plain = ~coherent
     if plain.any():
-        lam_rot = r[..., ::-1] * (out[:, 3, None, None]
+        # C = V G (G - i Lambda)^{-1} is unchanged by (G, Lambda) -> 4^j (G,
+        # Lambda): formed with |G| near 1, a subnormal G cannot overflow it
+        k = -2 * (np.frexp(np.abs(g).max())[1] // 2)
+        lam_rot = r[..., ::-1] * (np.ldexp(out[:, 3], k)[:, None, None]
                                   * np.array([1.0, -1.0]))
         lam = (s_half @ (lam_rot @ r_t) @ s_half)[plain]
+        g = np.ldexp(g, k)
         c[plain] = v_opt[plain] @ g @ np.linalg.inv(g - 1j * lam)
     return out[:, 2], v_opt, c
 

@@ -304,10 +304,9 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
             width = max(used[t] for t in live)
             loglik = _log_likelihood_factory(model, record[:, :width],
                                              counts[:, :width])
-            rows_of = np.array(live)
 
             def scored(points, rows):
-                trials = rows_of[rows]
+                trials = np.array(live)[rows]
                 return np.asarray(_row_by_row(
                     lambda s: loglik(points[s], trials[s]), trials + offset,
                     errors, np.full(points.shape[1], np.nan)))

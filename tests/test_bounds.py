@@ -340,7 +340,7 @@ class TestCrCoherent:
                 1e-12 * np.abs(v_opt).max())
 
 
-SCALES = [1e-200, 1e-13, 1e-8, 1.0, 1e8, 1e200]
+SCALES = [1e-310, 1e-308, 1e-200, 1e-13, 1e-8, 1.0, 1e8, 1e200]
 
 
 def _random_strict_weight():
@@ -378,6 +378,9 @@ class TestWeightScale:
             1e-12 * s * base.cr_value)
         assert np.abs(res.V_opt - base.V_opt).max() <= 1e-10 * max(
             1.0, np.abs(base.V_opt).max())
+        # C = V G (G - i Lambda)^{-1} is unchanged by the scale, also where
+        # (G - i Lambda)^{-1} of a subnormal weight would overflow
+        assert np.abs(res.C - base.C).max() <= 1e-10 * np.abs(base.C).max()
 
     @pytest.mark.parametrize("s", SCALES)
     def test_strictness_is_relative(self, s):

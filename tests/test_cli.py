@@ -291,6 +291,23 @@ class TestScaledWeight:
         assert abs(report["risk"] - report["cr_value"]) <= (
             1e-8 * report["cr_value"])
 
+    @pytest.mark.parametrize("s", [1e-308, 1e-310])
+    def test_subnormal_weight_measurement(self, tmp_path, s):
+        # spin 3/2 is not coherent, so its estimator forms
+        # (G - i Lambda)^{-1}, which overflows at G's own scale
+        model = write_spec(tmp_path, "spin", {
+            "kind": "spin_coherent", "params": {"s": 1.5, "m_z": 0.5},
+            "theta": [1.0, 0.7]})
+        weight = tmp_path / "weight.json"
+        weight.write_text(json.dumps((s * np.eye(2)).tolist()))
+        rc, out, err = _cold_run(["measurement", "--model", model,
+                                  "--weight", str(weight), "--format",
+                                  "json"])
+        assert (rc, err) == (0, "")
+        report = _strict_json(out)
+        assert abs(report["risk"] - report["cr_value"]) <= (
+            1e-8 * report["cr_value"])
+
 
 class TestWeightFile:
     def test_whitespace_matrix_matches_json(self, spin_spec, tmp_path,

@@ -432,6 +432,50 @@ class TestLockstep:
         assert np.max(np.abs(chunked.theta_hats - whole.theta_hats)) <= 1e-6
         assert chunked.excluded_trials == whole.excluded_trials == 0
 
+    @pytest.mark.parametrize("stage", ["build", "likelihood"])
+    def test_stacked_failure_retried_row_by_row(self, monkeypatch, stage):
+        # a stacked refit build or likelihood that refuses every stack of
+        # more than one row: each row then runs alone and succeeds, so no
+        # trial is excluded and the estimates are the stacked run's
+        model = zoo_spin_coherent(0.5, 0.5)
+        theta = np.array([1.0, 0.4])
+        weight = WeightMatrix.from_matrix(np.eye(2))
+        cfg = QmleConfig(n_samples=100, trials=4, seed=17, reopt_every=10)
+        whole = simulate_gqmle(model, theta, weight, cfg)
+        refused = []
+
+        def one_row_only(rows):
+            if rows > 1:
+                refused.append(rows)
+                raise ValidationError(f"refused a stack of {rows} rows")
+
+        build = simulate._measurement_stack
+        factory = simulate._log_likelihood_factory
+
+        def refusing_build(model, thetas, weight):
+            one_row_only(len(thetas))
+            return build(model, thetas, weight)
+
+        def refusing_factory(model, elements, counts):
+            loglik = factory(model, elements, counts)
+
+            def refusing(points, rows):
+                one_row_only(len(points))
+                return loglik(points, rows)
+
+            return refusing
+
+        if stage == "build":
+            monkeypatch.setattr(simulate, "_measurement_stack",
+                                refusing_build)
+        else:
+            monkeypatch.setattr(simulate, "_log_likelihood_factory",
+                                refusing_factory)
+        alone = simulate_gqmle(model, theta, weight, cfg)
+        assert refused
+        assert alone.exclusions == ()
+        assert np.max(np.abs(alone.theta_hats - whole.theta_hats)) <= 1e-6
+
 
 class TestQmleRegression:
     """Spin 1/2, G = J^S at theta = (pi/3, pi/4), N = 60, 3 trials, seed 2024.
