@@ -93,6 +93,17 @@ def sld_bound(geom, weight):
     )
 
 
+def _refuse_overflowing_weight(geom, weight):
+    """Raise :class:`ValidationError` when twice the SLD floor
+    Tr G J^{S-1} of ``weight`` at ``geom`` overflows: every closed form lies
+    between the floor and twice it, so none of them would be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = sld_bound(geom, weight).cr_value
+    if not math.isfinite(2.0 * floor):
+        raise ValidationError(f"twice the weight's SLD floor Tr G J^S-1 = "
+                              f"{floor!r} overflows")
+
+
 def attainable_bound(geom, weight, pure):
     """The closed-form attainable bound at a point, or None.
 
@@ -100,8 +111,10 @@ def attainable_bound(geom, weight, pure):
     two-parameter pure -> :func:`cr_two_param`; coherent ->
     :func:`cr_coherent` (closed forms after Matsumoto, J. Phys. A 35, 3111
     (2002)).  None means no closed form applies and only the interval
-    [SLD floor, oracle] is available.
+    [SLD floor, oracle] is available.  A weight for which twice the SLD
+    floor overflows raises :class:`ValidationError`.
     """
+    _refuse_overflowing_weight(geom, weight)
     if geom.quasi_classical:
         return sld_bound(geom, weight)
     if geom.m == 2 and pure:

@@ -20,8 +20,9 @@ from .operators import ORACLE_SLACK, InternalConsistencyError, ValidationError
 from .models import frame_at, load_model_spec
 from .geometry import (InfoGeometry, coherency_det_check, info_geometry,
                        rpf_transport)
-from .bounds import (WeightMatrix, attainable_bound, boundary_curve,
-                     cr_coherent, cr_two_param, sld_bound)
+from .bounds import (WeightMatrix, _refuse_overflowing_weight,
+                     attainable_bound, boundary_curve, cr_coherent,
+                     cr_two_param)
 from .measurements import (
     commuting_sld_estimator,
     construct_pvm_from_vectors,
@@ -48,44 +49,55 @@ def _real_rows(a):
 
 
 @functools.lru_cache(maxsize=8)
-def _json_layout(shape):
-    """The compact JSON text of a ``shape`` array as a tuple with a None
-    slot for each number.  The first number follows the opening brackets; each
-    later one follows ``"]"*t + "," + "["*t``, where t counts its trailing
-    indices that are 0."""
-    t = np.zeros(shape, dtype=np.intp)
-    for k in range(1, len(shape)):
-        t.reshape(math.prod(shape[:k]), -1)[:, 0] += 1
-    table = np.array(["]" * k + "," + "[" * k for k in range(len(shape))],
-                     dtype=object)
-    layout = [None] * (2 * t.size + 1)
-    layout[::2] = table[t.ravel()].tolist() + ["]" * len(shape)]
-    layout[0] = "[" * len(shape)
-    return tuple(layout)
+def _json_zeros(shape):
+    """The compact JSON text of a zero array of ``shape``, and the offset of
+    each part's "0.0" in it as a read-only flat array.  Every block of one
+    level has the same length, so an offset is a sum of one term per axis:
+    an opening bracket, then the index times the child block's length and
+    its comma."""
+    text, steps = "0.0", []
+    for n in reversed(shape):
+        steps.append(len(text) + 1)
+        text = "[" + ",".join([text] * n) + "]"
+    offsets = np.zeros((), dtype=np.intp)
+    for n, step in zip(shape, reversed(steps)):
+        offsets = np.add.outer(offsets, 1 + step * np.arange(n))
+    offsets = offsets.ravel()
+    offsets.flags.writeable = False
+    return text, offsets
 
 
 def _json_floats(a):
-    """``json.dumps(a.tolist(), separators=(",", ":"))`` for a float array,
-    formatting each distinct nonzero magnitude once: a negative number is
-    "-" and its magnitude's text, a zero "0.0" or "-0.0"."""
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` for a float array:
+    the parts that do not print as "0.0" are spliced into the JSON of a zero
+    array of that shape.  Each distinct magnitude among them is formatted
+    once; a zero takes its sign from the sign bit, any other part from
+    ``< 0``, so -nan prints as NaN."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 0 or a.size == 0:
         return json.dumps(a.tolist(), separators=(",", ":"))
+    zeros, offsets = _json_zeros(a.shape)
     flat = a.ravel()
-    nz = flat.nonzero()[0]
-    nz = nz[np.abs(flat[nz]).argsort()]     # nonzero parts by magnitude
-    mags = np.abs(flat[nz])
+    at = np.flatnonzero((flat != 0) | np.signbit(flat))
+    if not at.size:
+        return zeros
+    vals = flat[at]
+    order = np.abs(vals).argsort()     # the special parts by magnitude
+    mags = np.abs(vals[order])
     first = np.ones(mags.size, dtype=bool)
     first[1:] = mags[1:] != mags[:-1]
     distinct = json.dumps(mags[first].tolist(),
                           separators=(",", ":"))[1:-1].split(",")
-    texts = np.array(["0.0", "-0.0"] + distinct + ["-" + t for t in distinct],
-                     dtype=object)
-    # each part's index into texts: zeros by sign bit, then magnitudes
-    code = np.signbit(flat).astype(np.intp)
-    code[nz] = 1 + first.cumsum() + len(distinct) * (flat[nz] < 0)
-    out = list(_json_layout(a.shape))
+    texts = np.array(distinct + ["-" + t for t in distinct], dtype=object)
+    # the zeros left here are all -0.0
+    code = np.empty(at.size, dtype=np.intp)
+    code[order] = first.cumsum() - 1
+    code += len(distinct) * ((vals < 0) | (vals == 0))
+    cuts = offsets[at]
+    out = [None] * (2 * at.size + 1)
     out[1::2] = texts[code].tolist()
+    out[::2] = [zeros[i:j] for i, j in zip(
+        [0] + (cuts + 3).tolist(), cuts.tolist() + [len(zeros)])]
     return "".join(out)
 
 
@@ -168,12 +180,10 @@ def _load_weight(spec_str, geom):
         raise ValidationError(
             f"weight is {weight.G.shape[0]}x{weight.G.shape[0]}, model has "
             f"{geom.m} parameters")
-    # every closed form lies between the SLD floor Tr G J^{S-1} and twice it
-    with np.errstate(over="ignore", invalid="ignore"):
-        floor = sld_bound(geom, weight).cr_value
-    if not math.isfinite(2.0 * floor):
-        raise ValidationError(f"weight {spec_str}: twice its SLD floor "
-                              f"Tr G J^S-1 = {floor!r} overflows")
+    try:
+        _refuse_overflowing_weight(geom, weight)
+    except ValidationError as exc:
+        raise ValidationError(f"weight {spec_str}: {exc}")
     return weight
 
 

@@ -379,16 +379,28 @@ def naimark_compress(pvm, embedding):
 def _naimark_stack(projectors, embedding):
     """:func:`naimark_compress` for a (T, K, D, D) stack of PVMs and a
     (T, base_dim, k) stack of embeddings; every row must need the remainder
-    element, or none."""
+    element, or none.  The product and the remainder are formed in one
+    C-contiguous (T, K + 1, base_dim, base_dim) buffer, each made Hermitian
+    there as 0.5 (M + M^H); M^H is a copy, since an add into M would
+    overwrite parts that its own transpose still reads."""
     base_dim, k = embedding.shape[1:]
     emb = embedding[:, None]
-    elements = emb @ projectors[:, :, :k, :k] @ emb.conj().swapaxes(2, 3)
-    elements = 0.5 * (elements + elements.swapaxes(2, 3).conj())
-    rem = np.eye(base_dim) - elements.sum(axis=1)
+    n = projectors.shape[1]
+    out = np.empty((len(projectors), n + 1, base_dim, base_dim),
+                   dtype=complex)
+    elements, rem = out[:, :n], out[:, n]
+    np.matmul(emb @ projectors[:, :, :k, :k], emb.conj().swapaxes(2, 3),
+              out=elements)
+    elements += elements.swapaxes(2, 3).conj()
+    elements *= 0.5
+    np.subtract(np.eye(base_dim), elements.sum(axis=1), out=rem)
     has_rem = np.abs(rem).max(axis=(1, 2)) > REMAINDER_TOL
     if (has_rem != has_rem[0]).any():
         raise ValidationError("stacked measurements differ in remainder")
     if not has_rem[0]:
-        return elements, False
-    rem = 0.5 * (rem + rem.conj().swapaxes(1, 2))
-    return np.concatenate([elements, rem[:, None]], axis=1), True
+        # no remainder only where the embedding spans the base space
+        # (base_dim == k), so this copies a small stack
+        return np.ascontiguousarray(elements), False
+    rem += rem.swapaxes(1, 2).conj()
+    rem *= 0.5
+    return out, True

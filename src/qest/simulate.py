@@ -9,7 +9,8 @@ import numpy as np
 from .operators import ValidationError, hermitian_eigendecomposition
 from .models import _lifts, _pure_tangent_stack, frame_at
 from .geometry import _derive_stack, _lift_gram, info_geometry
-from .bounds import _normalized_weight, _two_param_stack, cr_two_param
+from .bounds import (_normalized_weight, _refuse_overflowing_weight,
+                     _two_param_stack, cr_two_param)
 from .measurements import _naimark_stack, _pvm_stack, _vector_stack
 
 __all__ = ["QmleConfig", "QmleResult", "simulate_gqmle",
@@ -204,22 +205,24 @@ def _maximize(loglik, theta0, radius, grid_points):
     return best
 
 
-def _row_by_row(stacked, trials, errors, fill):
-    """The one rule that excludes a QMLE trial: ``stacked(rows)`` gives one
-    result per row of ``rows``, a slice of the rows of ``trials``; it is
-    called on every row at once, and when that raises ``TRIAL_ERRORS``, on
-    each row alone.  A row that still raises yields ``fill``, and its trial
-    keeps its first exception in ``errors``."""
+def _row_by_row(stacked, args, trials, offset, errors, fill):
+    """The one rule that excludes a QMLE trial: ``stacked(*args)`` gives one
+    result per row of the stacks ``args``, whose rows belong to the chunk's
+    trials ``trials``; it is called on every row at once, and when that
+    raises ``TRIAL_ERRORS``, on each row alone.  A row that still raises
+    yields ``fill()``, and its trial, numbered from ``offset``, keeps its
+    first exception in ``errors``.  ``trials`` and ``fill`` are read only
+    then."""
     try:
-        return stacked(slice(None))
+        return stacked(*args)
     except TRIAL_ERRORS:
         out = []
         for i, t in enumerate(trials):
             try:
-                out.append(stacked(slice(i, i + 1))[0])
+                out.append(stacked(*(a[i:i + 1] for a in args))[0])
             except TRIAL_ERRORS as exc:
-                errors.setdefault(int(t), exc)
-                out.append(fill)
+                errors.setdefault(int(t) + offset, exc)
+                out.append(fill())
         return out
 
 
@@ -248,6 +251,7 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
         raise ValidationError("simulate_gqmle covers 2-parameter pure models")
     frame_true = frame_at(model, theta_true)
     geom_true = info_geometry(frame_true)
+    _refuse_overflowing_weight(geom_true, weight)
     bound_true = cr_two_param(geom_true, weight)
     if bound_true.C is None:
         raise ValidationError("simulate_gqmle needs a strictly positive "
@@ -304,12 +308,13 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
             width = max(used[t] for t in live)
             loglik = _log_likelihood_factory(model, record[:, :width],
                                              counts[:, :width])
+            live_rows = np.array(live)
 
             def scored(points, rows):
-                trials = np.array(live)[rows]
-                return np.asarray(_row_by_row(
-                    lambda s: loglik(points[s], trials[s]), trials + offset,
-                    errors, np.full(points.shape[1], np.nan)))
+                trials = live_rows[rows]
+                return _row_by_row(
+                    loglik, (points, trials), trials, offset, errors,
+                    lambda: np.full(points.shape[1], np.nan))
 
             radius = min(3.0 / np.sqrt(i * lam_min), 0.7)
             hats[live] = _maximize(scored, hats[live], radius,
@@ -317,14 +322,14 @@ def simulate_gqmle(model, theta_true, weight, cfg=QmleConfig()):
             live = [t for t in live if not np.isnan(hats[t, 0])]
             if cfg.fixed_measurement or i >= n or not live:
                 continue
-            estimates = hats[live]
 
-            def build(s):
-                elements = _measurement_stack(model, estimates[s], weight)
+            def build(estimates):
+                elements = _measurement_stack(model, estimates, weight)
                 return list(zip(elements, probabilities(elements)))
 
             for t, law in zip(live, _row_by_row(
-                    build, [t + offset for t in live], errors, None)):
+                    build, (hats[live],), live, offset, errors,
+                    lambda: None)):
                 laws[t] = law
                 if law is None:
                     hats[t] = np.nan

@@ -599,20 +599,50 @@ class TestJsonOutput:
     @given(data=st.data())
     def test_json_floats_is_json_dumps(self, data):
         # a few magnitudes, each drawn with either sign, so that one
-        # formatted magnitude serves both signs; -nan prints as NaN
-        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4,
-                                           min_side=1, max_side=4))
+        # formatted magnitude serves both signs; -nan prints as NaN.  A
+        # sparse array is zeros but for a few parts, some of them -0.0, and
+        # has one axis up to 130 long, as the measurement stacks are
+        shape = list(data.draw(hnp.array_shapes(min_dims=1, max_dims=4,
+                                                min_side=1, max_side=4)))
         pool = data.draw(st.lists(
             st.sampled_from([0.0, 5e-324, INF, NAN])
             | st.floats(min_value=1e-300, max_value=1e300),
             min_size=1, max_size=5))
+        sparse = data.draw(st.booleans())
+        if sparse:
+            shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(
+                st.integers(1, 130))
         size = int(np.prod(shape))
-        picks = data.draw(st.lists(
-            st.tuples(st.sampled_from(pool), st.booleans()),
-            min_size=size, max_size=size))
-        a = np.array([-v if neg else v for v, neg in picks]).reshape(shape)
+        if sparse:
+            a = np.zeros(size)
+            for i, v, neg in data.draw(st.lists(st.tuples(
+                    st.integers(0, size - 1), st.sampled_from(pool + [0.0]),
+                    st.booleans()), max_size=12)):
+                a[i] = -v if neg else v
+        else:
+            picks = data.draw(st.lists(
+                st.tuples(st.sampled_from(pool), st.booleans()),
+                min_size=size, max_size=size))
+            a = np.array([-v if neg else v for v, neg in picks])
+        a = a.reshape(shape)
         assert _json_floats(a) == json.dumps(a.tolist(),
                                              separators=(",", ":"))
+
+    def test_json_floats_after_eviction(self):
+        # more shapes than the zero-template cache holds, then the first
+        # again: its template is built anew and its offsets are read-only
+        rng = np.random.default_rng(11)
+        shapes = [(3, n, 7, 2) for n in range(11, 22)] + [(3, 11, 7, 2)]
+        cache = qest.cli._json_zeros
+        assert len(shapes) - 1 > cache.cache_info().maxsize
+        for shape in shapes:
+            a = np.where(rng.random(shape) < 0.9, 0.0, rng.normal(size=shape))
+            a[0, 0, 0] = -0.0, 0.0
+            misses = cache.cache_info().misses
+            assert _json_floats(a) == json.dumps(a.tolist(),
+                                                 separators=(",", ":"))
+        assert cache.cache_info().misses == misses + 1
+        assert not cache(shapes[0])[1].flags.writeable
 
     def test_out_file_matches_stdout(self, spin_spec, tmp_path, capsys):
         argv = ["measurement", "--model", spin_spec, "--weight", "js",

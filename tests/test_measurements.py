@@ -539,6 +539,30 @@ class TestNaimark:
             zoo_spin_coherent(1.5, 0.5), [1.0, 0.5])
         assert elements.tobytes() == stacked.tobytes()
 
+    @pytest.mark.parametrize("base_dim, has_rem", [(6, True), (2, False)])
+    def test_stack_is_the_inline_hermitian_part(self, base_dim, has_rem):
+        # three random complete rank-one PVMs on C^5 compressed through
+        # isometries C^2 -> C^base_dim, against the out-of-place
+        # 0.5 (E + E^H), its remainder and one concatenation
+        rng = np.random.default_rng(5)
+        t, d, k = 3, 5, 2
+        u = np.linalg.qr(rng.normal(size=(t, d, d))
+                         + 1j * rng.normal(size=(t, d, d)))[0]
+        projectors = np.einsum("tak,tbk->tkab", u, u.conj())
+        embedding = np.linalg.qr(rng.normal(size=(t, base_dim, k))
+                                 + 1j * rng.normal(size=(t, base_dim, k)))[0]
+        emb = embedding[:, None]
+        e = emb @ projectors[:, :, :k, :k] @ emb.conj().swapaxes(2, 3)
+        e = 0.5 * (e + e.swapaxes(-1, -2).conj())
+        rem = np.eye(base_dim) - e.sum(axis=1)
+        rem = 0.5 * (rem + rem.swapaxes(-1, -2).conj())
+        want = np.concatenate([e, rem[:, None]], axis=1) if has_rem else e
+        got, got_rem = _naimark_stack(projectors, embedding)
+        assert got_rem == has_rem
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 def _validate_loop(projectors, dim):
     """Reference: the per-projector validation loop, one check at a time."""
