@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,21 @@ class TestWeightScale:
     def test_strictness_is_relative(self, s):
         assert WeightMatrix.from_matrix(s * np.diag([1.0, 2.0])).strict
         assert not WeightMatrix.from_matrix(s * np.diag([1.0, 0.0])).strict
+
+    @pytest.mark.parametrize("model, theta", [
+        (lambda: zoo_spin_coherent(0.5, 0.5), [1.0, 0.7]),
+        (lambda: zoo_spin_coherent(1.5, 0.5), [0.3, 0.7]),
+        (lambda: zoo_squeezed(trunc_dim=32), [0.1, -0.1, 0.2, 0.2]),
+    ], ids=["spin_half", "spin_3half", "squeezed"])
+    def test_overflowing_weight_refused(self, model, theta):
+        # G = 1e308 I: twice its SLD floor overflows, so no closed form is
+        # finite, and the weight is refused as bad input without a warning
+        geom = geometry_at(model(), np.array(theta))
+        weight = WeightMatrix.from_matrix(1e308 * np.eye(geom.m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="SLD floor"):
+                attainable_bound(geom, weight, True)
 
     def test_zero_weight(self):
         weight = WeightMatrix.from_matrix(np.zeros((2, 2)))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ class TestSimulateGqmle:
             simulate_gqmle(zoo_spin_coherent(0.5, 0.5), np.array([1.0, 0.4]),
                            WeightMatrix.from_matrix(np.diag([1.0, 0.0])),
                            QmleConfig(n_samples=20, trials=2))
+
+    def test_rejects_overflowing_weight(self):
+        # twice the SLD floor of G = 1e308 I overflows: refused at entry as
+        # bad input, before any closed form warns or fails its check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="SLD floor"):
+                simulate_gqmle(zoo_spin_coherent(1.5, 0.5),
+                               np.array([0.3, 0.7]),
+                               WeightMatrix.from_matrix(1e308 * np.eye(2)),
+                               QmleConfig(n_samples=20, trials=2))
 
     def test_accepts_js_weight_near_pole(self):
         # G = J^S is not strict within ~1e-6 of a pole, but its normalized
