@@ -54,14 +54,11 @@ def _json_zeros(shape):
     each part's "0.0" in it as a read-only flat array.  Every block of one
     level has the same length, so an offset is a sum of one term per axis:
     an opening bracket, then the index times the child block's length and
-    its comma."""
-    text, steps = "0.0", []
+    its comma.  Built from the innermost axis out, one join per axis."""
+    text, offsets = "0.0", np.zeros((), dtype=np.intp)
     for n in reversed(shape):
-        steps.append(len(text) + 1)
-        text = "[" + ",".join([text] * n) + "]"
-    offsets = np.zeros((), dtype=np.intp)
-    for n, step in zip(shape, reversed(steps)):
-        offsets = np.add.outer(offsets, 1 + step * np.arange(n))
+        offsets = np.add.outer(1 + (len(text) + 1) * np.arange(n), offsets)
+        text = "".join(["["] + [text, ","] * (n - 1) + [text, "]"])
     offsets = offsets.ravel()
     offsets.flags.writeable = False
     return text, offsets
